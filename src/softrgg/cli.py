@@ -18,11 +18,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import verify as verify_mod
 from .mc import (
     ExperimentConfig,
-    ExperimentRecord,
     GridPoint,
     StatisticSpec,
     detection_experiment,
@@ -49,7 +49,11 @@ from .theory import (
     wishart_logdet_mean,
 )
 
-THEORY_QUANTITIES = ("gamma", "eta", "half-moments", "logdet", "tv-bounds", "phase")
+# Each theory quantity and the options it needs.
+THEORY_QUANTITIES = {
+    "gamma": ("d",), "eta": ("d",), "half-moments": ("d",), "logdet": ("n", "d"),
+    "tv-bounds": ("n", "p", "d", "q"), "phase": ("alpha", "beta"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,8 +63,14 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+def _emit(doc, path: str | None = None) -> None:
+    """Write ``doc`` as one line of compact sorted JSON to ``path`` or stdout."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _workers() -> int:
@@ -72,14 +82,6 @@ def _workers() -> int:
     if workers < 1:
         raise DomainError(f"RGG_WORKERS must be >= 1, got {workers}")
     return workers
-
-
-def _write_json(doc, path: str | None) -> None:
-    if path is None:
-        _emit(doc)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _load_json(path: str):
@@ -98,10 +100,10 @@ def _cmd_sample(args) -> int:
         sample, latent = sample_graph(
             params, args.mode, args.seed, return_latent=True
         )
-        _write_json(latent_to_dict(latent), args.latent_out)
+        _emit(latent_to_dict(latent), args.latent_out)
     else:
         sample = sample_graph(params, args.mode, args.seed)
-    _write_json(graph_to_dict(sample, params.p), args.out)
+    _emit(graph_to_dict(sample, params.p), args.out)
     return 0
 
 
@@ -125,28 +127,6 @@ def _cmd_stat(args) -> int:
     return 0
 
 
-def _record_doc(record: ExperimentRecord) -> dict:
-    pt = record.point
-    return {
-        "n": pt.n,
-        "p": pt.p,
-        "d": pt.d,
-        "q": pt.q,
-        "mode": pt.mode,
-        "stat_kind": record.stat_kind,
-        "k": record.k,
-        "reps": record.reps,
-        "seed": record.seed,
-        "stat_mean": record.stat_mean,
-        "stat_se": record.stat_se,
-        "power": record.power,
-        "type1": record.type1,
-        "threshold": record.threshold,
-        "phase_label": record.phase_label,
-        "status": record.status,
-    }
-
-
 def _cmd_detect(args) -> int:
     point = GridPoint(n=args.n, p=args.p, d=args.d, q=args.q, mode=args.mode)
     record = detection_experiment(
@@ -157,7 +137,7 @@ def _cmd_detect(args) -> int:
         test=args.test,
         workers=_workers(),
     )
-    _emit(_record_doc(record))
+    _emit({**record.fields(), "status": record.status})
     return 0
 
 
@@ -205,65 +185,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_theory(args) -> int:
     q = args.quantity
+    missing = [f"--{name}" for name in THEORY_QUANTITIES[q] if getattr(args, name) is None]
+    if missing:
+        raise DomainError(f"--quantity {q} needs {', '.join(missing)}")
     if q in ("gamma", "eta"):
-        if args.d is None:
-            raise DomainError(f"--quantity {q} needs --d")
         value = gamma_d(args.d) if q == "gamma" else eta_d(args.d)
         _emit({"d": args.d, q: value})
     elif q == "half-moments":
-        if args.d is None:
-            raise DomainError("--quantity half-moments needs --d")
-        t = half_moment_table(args.d)
-        _emit({
-            "d": t.d,
-            "gamma": t.gamma,
-            "eta": t.eta,
-            "triangle_prob": t.triangle_prob,
-            "quad_path_prob": t.quad_path_prob,
-            "house_prob": t.house_prob,
-            "quadrilateral_mean": t.quadrilateral_mean,
-            "q1_lower": t.q1_lower,
-            "q1_upper": t.q1_upper,
-        })
+        _emit(asdict(half_moment_table(args.d)))
     elif q == "logdet":
-        if args.n is None or args.d is None:
-            raise DomainError("--quantity logdet needs --n and --d")
-        rep = wishart_logdet_mean(args.n, args.d)
-        doc = {
-            "n": rep.n,
-            "d": rep.d,
-            "logdet_mean": rep.logdet_mean,
-            "normalized_deficit": rep.normalized_deficit,
+        _emit({
+            **asdict(wishart_logdet_mean(args.n, args.d)),
             "deficit_bound": (
                 logdet_deficit_bound(args.n, args.d) if args.d >= 2 * args.n else None
             ),
-        }
-        _emit(doc)
-    elif q == "tv-bounds":
-        missing = [
-            name for name, val in
-            (("--n", args.n), ("--p", args.p), ("--d", args.d), ("--q", args.q))
-            if val is None
-        ]
-        if missing:
-            raise DomainError(f"--quantity tv-bounds needs {', '.join(missing)}")
-        rep = tv_bound_report(args.n, args.p, args.d, args.q)
-        _emit({
-            "n": rep.n,
-            "p": rep.p,
-            "d": rep.d,
-            "q": rep.q,
-            "tv_weak_noise": rep.tv_weak_noise,
-            "weak_noise_valid": rep.weak_noise_valid,
-            "kl_edgewise": rep.kl_edgewise,
-            "kl_valid": rep.kl_valid,
-            "structural_terms": list(rep.structural_terms),
-            "structural_valid": rep.structural_valid,
-            "mixture_terms": list(rep.mixture_terms),
         })
+    elif q == "tv-bounds":
+        _emit(asdict(tv_bound_report(args.n, args.p, args.d, args.q)))
     else:
-        if args.alpha is None or args.beta is None:
-            raise DomainError("--quantity phase needs --alpha and --beta")
         label = phase_classify(PhasePoint(alpha=args.alpha, beta=args.beta))
         _emit({"label": label})
     return 0

@@ -60,10 +60,13 @@ _TAG_NULL = 41
 _TAG_CALIBRATE = 43
 _TAG_POINT = 59
 
-CSV_HEADER = (
-    "n,p,d,q,mode,stat_kind,k,reps,seed,stat_mean,stat_se,"
-    "power,type1,threshold,phase_label,wallclock_ms"
+# A record's reported fields, the grid point's coordinates first.  CSV rows
+# add the measured wallclock_ms; the CLI's JSON adds status instead.
+RECORD_FIELDS = (
+    "n", "p", "d", "q", "mode", "stat_kind", "k", "reps", "seed",
+    "stat_mean", "stat_se", "power", "type1", "threshold", "phase_label",
 )
+CSV_HEADER = ",".join(RECORD_FIELDS + ("wallclock_ms",))
 
 STATUS_OK = "ok"
 STATUS_INCONCLUSIVE = "inconclusive"
@@ -147,31 +150,18 @@ class ExperimentRecord:
     wallclock_ms: int
     status: str
 
+    def fields(self) -> dict:
+        """RECORD_FIELDS mapped to this record's values."""
+        values = {**vars(self.point), **vars(self)}
+        return {name: values[name] for name in RECORD_FIELDS}
+
     def csv_row(self) -> str:
-        pt = self.point
-        fields = (
-            str(pt.n),
-            _fmt(pt.p),
-            str(pt.d),
-            _fmt(pt.q),
-            pt.mode,
-            self.stat_kind,
-            str(self.k),
-            str(self.reps),
-            str(self.seed),
-            _fmt(self.stat_mean),
-            _fmt(self.stat_se),
-            _fmt(self.power),
-            _fmt(self.type1),
-            _fmt(self.threshold),
-            self.phase_label,
-            str(self.wallclock_ms),
-        )
-        return ",".join(fields)
+        cells = (*self.fields().values(), self.wallclock_ms)
+        return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells)
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def evaluate_statistic(
@@ -300,23 +290,14 @@ def detection_experiment(
         raise DomainError("detection needs reps >= 100")
     if test not in TEST_RULES:
         raise DomainError(f"unknown test rule {test!r}")
+    if statistic.k > point.n:
+        raise DomainError(
+            f"statistic order k = {statistic.k} exceeds the n = {point.n} vertices"
+        )
     t0 = time.perf_counter()
-    label = phase_label(point.n, point.d, point.q)
     if point.p in (0.0, 1.0):
-        return ExperimentRecord(
-            point=point,
-            stat_kind=statistic.kind,
-            k=statistic.k,
-            reps=reps,
-            seed=master_seed,
-            stat_mean=0.0,
-            stat_se=0.0,
-            power=0.0,
-            type1=0.0,
-            threshold=0.0,
-            phase_label=label,
-            wallclock_ms=_elapsed_ms(t0),
-            status=STATUS_DEGENERATE,
+        return _constant_record(
+            point, statistic, reps, master_seed, t0, 0.0, STATUS_DEGENERATE
         )
 
     params = point.params()
@@ -360,7 +341,7 @@ def detection_experiment(
         power=float(np.mean(alt_vals >= threshold)),
         type1=float(np.mean(null_vals >= threshold)),
         threshold=threshold,
-        phase_label=label,
+        phase_label=phase_label(point.n, point.d, point.q),
         wallclock_ms=_elapsed_ms(t0),
         status=status,
     )
@@ -376,28 +357,30 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _failed_record(
+def _constant_record(
     point: GridPoint,
     statistic: StatisticSpec,
     reps: int,
     seed: int,
     t0: float,
+    value: float,
+    status: str,
 ) -> ExperimentRecord:
-    nan = float("nan")
+    """A record with ``value`` in every numeric field (degenerate or failed)."""
     return ExperimentRecord(
         point=point,
         stat_kind=statistic.kind,
         k=statistic.k,
         reps=reps,
         seed=seed,
-        stat_mean=nan,
-        stat_se=nan,
-        power=nan,
-        type1=nan,
-        threshold=nan,
+        stat_mean=value,
+        stat_se=value,
+        power=value,
+        type1=value,
+        threshold=value,
         phase_label=phase_label(point.n, point.d, point.q),
         wallclock_ms=_elapsed_ms(t0),
-        status=STATUS_FAILED,
+        status=status,
     )
 
 
@@ -433,7 +416,9 @@ def sweep(
                 workers=config.workers,
             )
         except Exception:
-            record = _failed_record(point, config.statistic, config.reps, seed, t0)
+            record = _constant_record(
+                point, config.statistic, config.reps, seed, t0, float("nan"), STATUS_FAILED
+            )
         records.append(record)
         if sink is not None:
             sink.write(record.csv_row() + "\n")

@@ -59,6 +59,7 @@ __all__ = [
     "sample_latent",
     "connection_function",
     "sample_graph",
+    "pattern_class_histogram",
     "edge_marginal_estimate",
     "pair_index",
     "graph_to_dict",
@@ -159,6 +160,22 @@ class LatentMatrix:
         return self.data.shape[1]
 
 
+@lru_cache(maxsize=16)
+def _upper_triangle(n: int):
+    """Row indices, column indices and boolean mask of the strict upper
+    triangle of an n x n matrix, in packed-edge order (read-only).
+
+    Row-major order of the mask's True entries is the packed order, so a
+    boolean-mask read or write needs no index arrays.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[iu, ju] = True
+    for a in (iu, ju, mask):
+        a.flags.writeable = False
+    return iu, ju, mask
+
+
 def pair_index(i: int, j: int, n: int) -> int:
     """Position of unordered pair (i < j) in the packed upper triangle."""
     if not 0 <= i < j < n:
@@ -209,17 +226,14 @@ class AdjacencySample:
         return np.unpackbits(self.bits, count=self.n * (self.n - 1) // 2).astype(bool)
 
     def edges(self):
-        iu, ju = np.triu_indices(self.n, 1)
+        iu, ju, _ = _upper_triangle(self.n)
         present = self.edge_vector()
         return [(int(a), int(b)) for a, b in zip(iu[present], ju[present])]
 
     def to_dense(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=np.int64)
-        iu, ju = np.triu_indices(self.n, 1)
-        present = self.edge_vector()
-        adj[iu[present], ju[present]] = 1
-        adj[ju[present], iu[present]] = 1
-        return adj
+        adj[_upper_triangle(self.n)[2]] = self.edge_vector()
+        return adj + adj.T
 
     def edge_count(self) -> int:
         return int(self.edge_vector().sum())
@@ -360,10 +374,31 @@ def sample_latent(n: int, d: int, kind: str, rng: np.random.Generator) -> Latent
     return LatentMatrix(kind=kind, data=data)
 
 
-def _upper_inner_products(latent: LatentMatrix) -> np.ndarray:
-    gram = latent.data @ latent.data.T
-    iu, ju = np.triu_indices(latent.n, 1)
-    return gram[iu, ju]
+def _latent_threshold(mode: str, p: float, d: int):
+    """Latent kind and connection threshold of a geometric mode."""
+    if mode == "dot-product":
+        return "gauss", gauss_threshold(p, d)
+    return "sphere", sphere_threshold(p, d)
+
+
+def _edge_law(mode: str, hard: np.ndarray, p: float, q: float,
+              rng: np.random.Generator) -> np.ndarray:
+    """Edge indicators of ``mode`` given the hard geometric indicators.
+
+    The only place the edge rule is written.  ``er`` reads only the shape
+    of ``hard``.  At q >= 1 every geometric mode returns ``hard`` without
+    drawing, and otherwise the uniforms are drawn last, so a caller's
+    earlier draws do not depend on q.
+    """
+    if mode == "er":
+        return rng.random(hard.shape) < p
+    if mode == "hard-sphere" or q >= 1.0:
+        return hard
+    if mode == "soft-sphere-resample":
+        keep = rng.random(hard.shape) < q
+        redraw = rng.random(hard.shape) < p
+        return np.where(keep, hard, redraw)
+    return rng.random(hard.shape) < (1.0 - q) * p + q * hard
 
 
 def sample_graph(params: ModelParams, mode: str, seed: int, latent=None,
@@ -377,79 +412,94 @@ def sample_graph(params: ModelParams, mode: str, seed: int, latent=None,
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
     n, p, d, q = params.n, params.p, params.d, params.q
     rng = substream(seed)
-    m = n * (n - 1) // 2
 
     if mode == "er":
-        present = rng.random(m) < p
-        sample = AdjacencySample.from_edge_vector(n, present, mode, seed)
-        return (sample, None) if return_latent else sample
-
-    kind = "gauss" if mode == "dot-product" else "sphere"
-    if mode == "dot-product":
-        threshold = gauss_threshold(p, d)
+        latent = None
+        hard = np.zeros(n * (n - 1) // 2, dtype=bool)
     else:
-        threshold = sphere_threshold(p, d)
-    if latent is None:
-        latent = sample_latent(n, d, kind, rng)
-    elif latent.kind != kind or latent.n != n or latent.d != d:
-        raise DomainError(
-            f"latent matrix ({latent.kind}, {latent.n}x{latent.d}) does not match "
-            f"mode {mode!r} with n={n}, d={d}"
-        )
-    hard = _upper_inner_products(latent) >= threshold
-
-    if mode == "hard-sphere":
-        present = hard
-    elif mode == "soft-sphere-resample":
-        keep = rng.random(m) < q
-        redraw = rng.random(m) < p
-        present = np.where(keep, hard, redraw)
-    else:  # soft-sphere, dot-product
-        k = (1.0 - q) * p + q * hard
-        present = rng.random(m) < k
+        kind, threshold = _latent_threshold(mode, p, d)
+        if latent is None:
+            latent = sample_latent(n, d, kind, rng)
+        elif latent.kind != kind or latent.n != n or latent.d != d:
+            raise DomainError(
+                f"latent matrix ({latent.kind}, {latent.n}x{latent.d}) does not match "
+                f"mode {mode!r} with n={n}, d={d}"
+            )
+        hard = (latent.data @ latent.data.T)[_upper_triangle(n)[2]] >= threshold
+    present = _edge_law(mode, hard, p, q, rng)
     sample = AdjacencySample.from_edge_vector(n, present, mode, seed)
     return (sample, latent) if return_latent else sample
 
 
-def edge_marginal_estimate(params: ModelParams, mode: str, reps: int, seed: int,
-                           batch: int = 100_000):
-    """Monte Carlo (mean, se) of the edge indicator over independent pairs."""
+def _pattern_size(pattern):
+    pattern = tuple((int(i), int(j)) for i, j in pattern)
+    if not pattern:
+        raise DomainError("empty edge pattern")
+    m = 0
+    seen = set()
+    for i, j in pattern:
+        if i == j or i < 0 or j < 0:
+            raise DomainError(f"bad pattern edge ({i}, {j})")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise DomainError(f"duplicate pattern edge ({i}, {j})")
+        seen.add(key)
+        m = max(m, i + 1, j + 1)
+    return pattern, m
+
+
+def _batch_size(m, d, reps):
+    return max(256, min(reps, 4_194_304 // max(m * d, 1)))
+
+
+def pattern_class_histogram(mode: str, p: float, d: int, q: float, pattern,
+                            reps: int, rng: np.random.Generator) -> np.ndarray:
+    """Histogram over ``reps`` fresh latent draws of how many pattern edges
+    are present.
+
+    The pattern is a tuple of vertex pairs over 0..m-1, with m inferred
+    from the labels.  Each batch draws its (b, m, d) latents, thresholds
+    the pattern pairs' inner products and applies ``mode``'s edge law;
+    ``er`` draws no latents.  Entry e of the int64 result counts the draws
+    with exactly e edges present.
+    """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
-    p, d, q = params.p, params.d, params.q
-    rng = substream(seed, 101)
-    hits = 0
-    if mode == "er":
-        done = 0
-        while done < reps:
-            b = min(batch, reps - done)
-            hits += int(np.sum(rng.random(b) < p))
-            done += b
-    else:
-        kind = "gauss" if mode == "dot-product" else "sphere"
-        threshold = (
-            gauss_threshold(p, d) if mode == "dot-product" else sphere_threshold(p, d)
-        )
-        done = 0
-        while done < reps:
-            b = min(batch, reps - done)
-            x = rng.standard_normal((b, 2, d))
+    pattern, m = _pattern_size(pattern)
+    n_edges = len(pattern)
+    if mode != "er":
+        kind, threshold = _latent_threshold(mode, p, d)
+    hist = np.zeros(n_edges + 1, dtype=np.int64)
+    batch = _batch_size(m, d, reps)
+    done = 0
+    while done < reps:
+        b = min(batch, reps - done)
+        hard = np.zeros((b, n_edges), dtype=bool)
+        if mode != "er":
+            x = rng.standard_normal((b, m, d))
             if kind == "sphere":
                 x /= np.linalg.norm(x, axis=2, keepdims=True)
-            s = np.einsum("bk,bk->b", x[:, 0, :], x[:, 1, :])
-            hard = s >= threshold
-            if mode == "hard-sphere":
-                present = hard
-            elif mode == "soft-sphere-resample":
-                keep = rng.random(b) < q
-                present = np.where(keep, hard, rng.random(b) < p)
-            else:
-                present = rng.random(b) < (1.0 - q) * p + q * hard
-            hits += int(np.sum(present))
-            done += b
-    mean = hits / reps
-    se = math.sqrt(max(mean * (1.0 - mean), 1e-300) / reps)
-    return mean, se
+            for e, (i, j) in enumerate(pattern):
+                hard[:, e] = np.einsum("bd,bd->b", x[:, i, :], x[:, j, :]) >= threshold
+        present = _edge_law(mode, hard, p, q, rng)
+        hist += np.bincount(present.sum(axis=1), minlength=n_edges + 1)
+        done += b
+    return hist
+
+
+def _top_bin_estimate(hist: np.ndarray) -> tuple[float, float]:
+    """(mean, se) of the all-edges-present indicator from a class histogram."""
+    reps = int(hist.sum())
+    mean = int(hist[-1]) / reps
+    return mean, math.sqrt(max(mean * (1.0 - mean), 1e-300) / reps)
+
+
+def edge_marginal_estimate(params: ModelParams, mode: str, reps: int, seed: int):
+    """Monte Carlo (mean, se) of the edge indicator over independent pairs."""
+    hist = pattern_class_histogram(
+        mode, params.p, params.d, params.q, ((0, 1),), reps, substream(seed, 101)
+    )
+    return _top_bin_estimate(hist)
 
 
 def graph_to_dict(sample: AdjacencySample, p: float) -> dict:

@@ -10,9 +10,11 @@ for cliques and cycles), and a single shared evaluator maps a count vector
 to the float value.  Two consequences the tests rely on: results are exact,
 and any two routes that agree on the counts agree bit for bit.
 
-Monte Carlo estimators for latent edge patterns live here too; they share
-the sampler conventions of :mod:`softrgg.model` and are vectorized over
-replicates, since acceptance runs push them to 10^6 draws.
+Monte Carlo estimators for latent edge patterns live here too.  Both read
+the one latent-pattern kernel, :func:`softrgg.model.pattern_class_histogram`,
+which draws fresh latents in vectorized batches and applies the sampler's
+edge law, so a pattern probability is its top bin and a signed pattern
+mean is its class histogram weighted as above.
 """
 
 from __future__ import annotations
@@ -24,9 +26,14 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .model import AdjacencySample, pair_index, substream
+from .model import (
+    AdjacencySample,
+    _top_bin_estimate,
+    pair_index,
+    pattern_class_histogram,
+    substream,
+)
 from .specfun import DomainError
-from . import model as _model
 
 __all__ = [
     "StatisticValue",
@@ -54,6 +61,9 @@ __all__ = [
 
 MIN_ORDER = 3
 MAX_ORDER = 8
+
+# Largest enumeration index table, in bytes, that a statistic may build.
+INDEX_TABLE_BUDGET = 1 << 30
 
 TRIANGLE_PATTERN = ((0, 1), (0, 2), (1, 2))
 CHERRY_PATTERN = ((0, 1), (0, 2))
@@ -110,8 +120,8 @@ def _triangle_class_counts(sample: AdjacencySample):
     """
     n = sample.n
     adj = sample.to_dense().astype(float)
-    m = sample.edge_count()
     deg = adj.sum(axis=1)
+    m = int(deg.sum()) // 2
     tr_a3 = float(np.sum((adj @ adj) * adj))
     n3 = int(round(tr_a3)) // 6
     paths2 = int(round(float(np.sum(deg * (deg - 1.0))))) // 2
@@ -132,9 +142,19 @@ def signed_triangle_stat(sample: AdjacencySample, p: float) -> StatisticValue:
     return StatisticValue(kind="signed-triangle", k=3, value=value, method="trace")
 
 
+def _check_table_budget(rows: int, cols: int, what: str) -> None:
+    nbytes = rows * cols * 8
+    if nbytes > INDEX_TABLE_BUDGET:
+        raise DomainError(
+            f"{what} index table would take {nbytes} bytes, above the "
+            f"{INDEX_TABLE_BUDGET}-byte budget"
+        )
+
+
 @lru_cache(maxsize=64)
 def _subset_pair_indices(n: int, k: int):
     """Packed-edge indices of all pairs inside each k-subset of range(n)."""
+    _check_table_budget(math.comb(n, k), k * (k - 1) // 2, f"n={n}, k={k} clique")
     subsets = list(combinations(range(n), k))
     idx = np.empty((len(subsets), k * (k - 1) // 2), dtype=np.int64)
     for row, subset in enumerate(subsets):
@@ -142,21 +162,21 @@ def _subset_pair_indices(n: int, k: int):
     return idx
 
 
+def _table_histogram(sample: AdjacencySample, idx: np.ndarray) -> np.ndarray:
+    """Histogram over index-table rows of how many of their edges are present."""
+    n_edges = idx.shape[1]
+    vec = sample.edge_vector().astype(np.int64)
+    hist = np.zeros(n_edges + 1, dtype=np.int64)
+    for start in range(0, idx.shape[0], 8192):
+        present = vec[idx[start : start + 8192]].sum(axis=1)
+        hist += np.bincount(present, minlength=n_edges + 1)
+    return hist
+
+
 def clique_edge_histogram(sample: AdjacencySample, k: int) -> np.ndarray:
     """Histogram over k-subsets of how many of their k(k-1)/2 edges are present."""
     _check_order(k)
-    n_edges = k * (k - 1) // 2
-    if sample.n < k:
-        hist = np.zeros(n_edges + 1, dtype=np.int64)
-        return hist
-    vec = sample.edge_vector().astype(np.int64)
-    idx = _subset_pair_indices(sample.n, k)
-    hist = np.zeros(n_edges + 1, dtype=np.int64)
-    for start in range(0, idx.shape[0], 4096):
-        block = idx[start : start + 4096]
-        present = vec[block].sum(axis=1)
-        hist += np.bincount(present, minlength=n_edges + 1)
-    return hist
+    return _table_histogram(sample, _subset_pair_indices(sample.n, k))
 
 
 def signed_clique_stat(sample: AdjacencySample, p: float, k: int) -> StatisticValue:
@@ -198,8 +218,9 @@ def canonical_cycles(k: int):
 @lru_cache(maxsize=64)
 def _cycle_pair_indices(n: int, k: int):
     """Packed-edge indices for every (k-subset, Hamilton cycle) pair."""
-    subsets = list(combinations(range(n), k))
     cycles = canonical_cycles(k)
+    _check_table_budget(math.comb(n, k) * len(cycles), k, f"n={n}, k={k} cycle")
+    subsets = list(combinations(range(n), k))
     idx = np.empty((len(subsets) * len(cycles), k), dtype=np.int64)
     row = 0
     for subset in subsets:
@@ -214,16 +235,7 @@ def _cycle_pair_indices(n: int, k: int):
 def cycle_edge_histogram(sample: AdjacencySample, k: int) -> np.ndarray:
     """Histogram over (k-subset, cycle) instances of present cycle edges."""
     _check_order(k)
-    if sample.n < k:
-        return np.zeros(k + 1, dtype=np.int64)
-    vec = sample.edge_vector().astype(np.int64)
-    idx = _cycle_pair_indices(sample.n, k)
-    hist = np.zeros(k + 1, dtype=np.int64)
-    for start in range(0, idx.shape[0], 8192):
-        block = idx[start : start + 8192]
-        present = vec[block].sum(axis=1)
-        hist += np.bincount(present, minlength=k + 1)
-    return hist
+    return _table_histogram(sample, _cycle_pair_indices(sample.n, k))
 
 
 def signed_cycle_stat(sample: AdjacencySample, p: float, k: int) -> StatisticValue:
@@ -247,41 +259,14 @@ def er_cycle_variance(n: int, p: float, k: int) -> float:
     return ordered / (2 * k) * (p * (1.0 - p)) ** k
 
 
-def _pattern_size(pattern):
-    pattern = tuple((int(i), int(j)) for i, j in pattern)
-    if not pattern:
-        raise DomainError("empty edge pattern")
-    m = 0
-    seen = set()
-    for i, j in pattern:
-        if i == j or i < 0 or j < 0:
-            raise DomainError(f"bad pattern edge ({i}, {j})")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DomainError(f"duplicate pattern edge ({i}, {j})")
-        seen.add(key)
-        m = max(m, i + 1, j + 1)
-    return pattern, m
+# The estimators below run the soft law of the matching geometric mode.
+_KIND_MODES = {"sphere": "soft-sphere", "gauss": "dot-product"}
 
 
-def _pattern_threshold(latent_kind, p, d):
-    if latent_kind == "sphere":
-        return _model.sphere_threshold(p, d)
-    if latent_kind == "gauss":
-        return _model.gauss_threshold(p, d)
-    raise DomainError(f"unknown latent kind {latent_kind!r}")
-
-
-def _batch_size(m, d, reps):
-    return max(256, min(reps, 4_194_304 // max(m * d, 1)))
-
-
-def _pattern_hard_indicators(x, pattern, threshold):
-    cols = []
-    for i, j in pattern:
-        s = np.einsum("bd,bd->b", x[:, i, :], x[:, j, :])
-        cols.append(s >= threshold)
-    return np.stack(cols, axis=1)
+def _pattern_histogram(latent_kind, p, d, q, pattern, reps, rng):
+    if latent_kind not in _KIND_MODES:
+        raise DomainError(f"unknown latent kind {latent_kind!r}")
+    return pattern_class_histogram(_KIND_MODES[latent_kind], p, d, q, pattern, reps, rng)
 
 
 def subgraph_probability_estimate(latent_kind: str, p: float, d: int, pattern,
@@ -292,23 +277,8 @@ def subgraph_probability_estimate(latent_kind: str, p: float, d: int, pattern,
     the latents (q = 1).  The pattern is a tuple of vertex pairs over
     0..m-1 with m inferred from the labels.
     """
-    pattern, m = _pattern_size(pattern)
-    threshold = _pattern_threshold(latent_kind, p, d)
-    rng = substream(seed, 7)
-    hits = 0
-    done = 0
-    batch = _batch_size(m, d, reps)
-    while done < reps:
-        b = min(batch, reps - done)
-        x = rng.standard_normal((b, m, d))
-        if latent_kind == "sphere":
-            x /= np.linalg.norm(x, axis=2, keepdims=True)
-        hard = _pattern_hard_indicators(x, pattern, threshold)
-        hits += int(np.sum(hard.all(axis=1)))
-        done += b
-    mean = hits / reps
-    se = math.sqrt(max(mean * (1.0 - mean), 1e-300) / reps)
-    return mean, se
+    hist = _pattern_histogram(latent_kind, p, d, 1.0, pattern, reps, substream(seed, 7))
+    return _top_bin_estimate(hist)
 
 
 def signed_pattern_estimate(latent_kind: str, p: float, d: int, q: float, pattern,
@@ -321,28 +291,10 @@ def signed_pattern_estimate(latent_kind: str, p: float, d: int, q: float, patter
     converted once at the end (exactly the device the graph statistics
     use).
     """
-    pattern, m = _pattern_size(pattern)
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    threshold = _pattern_threshold(latent_kind, p, d)
-    n_edges = len(pattern)
-    rng = substream(seed, 11)
-    hist = np.zeros(n_edges + 1, dtype=np.int64)
-    done = 0
-    batch = _batch_size(m, d, reps)
-    while done < reps:
-        b = min(batch, reps - done)
-        x = rng.standard_normal((b, m, d))
-        if latent_kind == "sphere":
-            x /= np.linalg.norm(x, axis=2, keepdims=True)
-        hard = _pattern_hard_indicators(x, pattern, threshold)
-        if q >= 1.0:
-            present = hard
-        else:
-            probs = (1.0 - q) * p + q * hard
-            present = rng.random((b, n_edges)) < probs
-        hist += np.bincount(present.sum(axis=1), minlength=n_edges + 1)
-        done += b
+    hist = _pattern_histogram(latent_kind, p, d, q, pattern, reps, substream(seed, 11))
+    n_edges = len(hist) - 1
     values = np.array(
         [(1.0 - p) ** e * (-p) ** (n_edges - e) for e in range(n_edges + 1)]
     )

@@ -28,15 +28,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import gauss_threshold, substream, thresholds
+from .model import thresholds
 from .specfun import (
     DomainError,
     QuadratureSpec,
     digamma,
     integrate,
     log_gamma,
+    std_normal_quantile,
 )
-from .stats import TRIANGLE_PATTERN, signed_pattern_estimate
+from .stats import QUAD_PATH_PATTERN, TRIANGLE_PATTERN, signed_pattern_estimate
 
 __all__ = [
     "AngleDensity",
@@ -348,20 +349,14 @@ class ThresholdGapConstants:
 def threshold_gap_constants(p: float) -> ThresholdGapConstants:
     if not 0.0 < p <= 0.5:
         raise DomainError(f"gap constants need 0 < p <= 1/2, got {p}")
-    t_p = -_quantile(p)
-    t_half_p = -_quantile(p / 2.0)
+    t_p = -std_normal_quantile(p)
+    t_half_p = -std_normal_quantile(p / 2.0)
     root_2pi = math.sqrt(2.0 * math.pi)
     overshoot = 3.0 * (t_p + 2.0 * root_2pi * math.exp(0.5 * t_half_p**2))
     undershoot = 2.0 * (1.0 - 2.0 * p) * root_2pi * math.exp(0.5 * t_p**2)
     return ThresholdGapConstants(
         p=p, lower=-overshoot, upper=undershoot, min_dimension=6
     )
-
-
-def _quantile(u: float) -> float:
-    from .specfun import std_normal_quantile
-
-    return std_normal_quantile(u)
 
 
 def threshold_gap_curve(p: float, dims) -> tuple[tuple[int, float], ...]:
@@ -571,36 +566,13 @@ def wedge_conditional_square_estimate(
     """MC estimate of E[ E[s_23 s_31 | x1, x2]^2 ] under the
     dot-product model, where s_ij is the centered hard edge indicator.
 
-    Squaring an inner conditional expectation is made unbiased by the
-    two-copy trick: draw two independent third points against the same
-    (x1, x2) pair and multiply the resulting wedge products.
+    Squaring the inner conditional expectation is made unbiased by a
+    second, independent third point x4: E[E[s_23 s_31 | x1, x2]^2] =
+    E[s_13 s_23 s_14 s_24], the signed mean of the quad-path pattern in
+    the hard (q = 1) dot-product model.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
     if d < 1 or reps < 2:
         raise DomainError("need d >= 1 and reps >= 2")
-    u = gauss_threshold(p, d)
-    rng = substream(seed, 13)
-    batch = max(256, min(reps, 4_194_304 // (4 * d)))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < reps:
-        b = min(batch, reps - done)
-        x1 = rng.standard_normal((b, d))
-        x2 = rng.standard_normal((b, d))
-        x3 = rng.standard_normal((b, d))
-        x3p = rng.standard_normal((b, d))
-
-        def wedge(third):
-            s23 = (np.einsum("ij,ij->i", x2, third) >= u) - p
-            s31 = (np.einsum("ij,ij->i", third, x1) >= u) - p
-            return s23 * s31
-
-        vals = wedge(x3) * wedge(x3p)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += b
-    mean = total / reps
-    var = max(0.0, total_sq / reps - mean * mean)
-    return mean, math.sqrt(var / reps)
+    return signed_pattern_estimate("gauss", p, d, 1.0, QUAD_PATH_PATTERN, reps, seed)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import mc, model, stats, theory
 from .specfun import (
+    DomainError,
     QuadratureSpec,
     integrate,
     digamma,
@@ -289,8 +290,6 @@ _SUITE_RUNNERS = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> tuple[CheckResult, ...]:
-    from .specfun import DomainError
-
     if name not in _SUITE_RUNNERS:
         raise DomainError(f"unknown verify suite {name!r}")
     return tuple(_SUITE_RUNNERS[name](seed))

@@ -109,6 +109,8 @@ def test_latent_output_lies_on_sphere(tmp_path, capsys):
 
 
 def test_validation_errors_exit_one(tmp_path, capsys):
+    big_graph = tmp_path / "n100.json"
+    big_graph.write_text(json.dumps({"n": 100, "p": 0.5, "edges": []}))
     cases = (
         ("stat", "--graph", str(tmp_path / "missing.json")),
         ("theory", "--quantity", "gamma"),
@@ -117,6 +119,9 @@ def test_validation_errors_exit_one(tmp_path, capsys):
         ("detect", "--n", "10", "--p", "0.5", "--d", "4", "--q", "0.5",
          "--seed", "1", "--reps", "50"),
         ("stat", "--graph", str(tmp_path / "missing.json"), "--k", "9"),
+        ("detect", "--n", "3", "--p", "0.5", "--seed", "1", "--reps", "100",
+         "--stat", "cycle", "--k", "5"),
+        ("stat", "--graph", str(big_graph), "--kind", "cycle", "--k", "5"),
         ("nonsense",),
     )
     for argv in cases:

@@ -22,10 +22,13 @@ from dataclasses import asdict
 
 from . import verify as verify_mod
 from .mc import (
+    STAT_KINDS,
+    TEST_RULES,
     ExperimentConfig,
     GridPoint,
     StatisticSpec,
     detection_experiment,
+    evaluate_statistic,
     sweep,
 )
 from .model import (
@@ -37,7 +40,6 @@ from .model import (
     sample_graph,
 )
 from .specfun import ConvergenceError, DomainError
-from .stats import signed_clique_stat, signed_cycle_stat, signed_triangle_stat
 from .theory import (
     PhasePoint,
     eta_d,
@@ -110,12 +112,7 @@ def _cmd_sample(args) -> int:
 def _cmd_stat(args) -> int:
     sample, p_stored = graph_from_dict(_load_json(args.graph))
     p = p_stored if args.p is None else args.p
-    if args.kind == "triangle":
-        result = signed_triangle_stat(sample, p)
-    elif args.kind == "clique":
-        result = signed_clique_stat(sample, p, args.k)
-    else:
-        result = signed_cycle_stat(sample, p, args.k)
+    result = evaluate_statistic(sample, p, StatisticSpec(kind=args.kind, k=args.k))
     _emit({
         "kind": result.kind,
         "k": result.k,
@@ -232,6 +229,13 @@ def _add_point_arguments(parser, *, need_seed: bool) -> None:
         parser.add_argument("--seed", type=int, required=True)
 
 
+def _add_experiment_arguments(parser) -> None:
+    parser.add_argument("--reps", type=int, required=True)
+    parser.add_argument("--test", choices=TEST_RULES, default="half-mean-threshold")
+    parser.add_argument("--stat", choices=STAT_KINDS, default="triangle")
+    parser.add_argument("--k", type=int, default=3)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="softrgg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -245,8 +249,7 @@ def _build_parser() -> _Parser:
 
     p_stat = sub.add_parser("stat", help="evaluate a signed statistic on a stored graph")
     p_stat.add_argument("--graph", required=True, help="graph JSON file")
-    p_stat.add_argument("--kind", choices=("triangle", "clique", "cycle"),
-                        default="triangle")
+    p_stat.add_argument("--kind", choices=STAT_KINDS, default="triangle")
     p_stat.add_argument("--k", type=int, default=3, help="subgraph order")
     p_stat.add_argument("--p", type=float, default=None,
                         help="centering density (default: the stored value)")
@@ -254,27 +257,15 @@ def _build_parser() -> _Parser:
 
     p_detect = sub.add_parser("detect", help="power/type-1 experiment at one point")
     _add_point_arguments(p_detect, need_seed=True)
-    p_detect.add_argument("--reps", type=int, required=True)
-    p_detect.add_argument("--test", choices=("half-mean-threshold",
-                                             "calibrated-quantile"),
-                          default="half-mean-threshold")
-    p_detect.add_argument("--stat", choices=("triangle", "clique", "cycle"),
-                          default="triangle")
-    p_detect.add_argument("--k", type=int, default=3)
+    _add_experiment_arguments(p_detect)
     p_detect.set_defaults(func=_cmd_detect)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of experiments to CSV")
     p_sweep.add_argument("--grid", required=True,
                          help="JSON list of {n, p, d, q, mode} points")
-    p_sweep.add_argument("--reps", type=int, required=True)
+    _add_experiment_arguments(p_sweep)
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    p_sweep.add_argument("--test", choices=("half-mean-threshold",
-                                            "calibrated-quantile"),
-                         default="half-mean-threshold")
-    p_sweep.add_argument("--stat", choices=("triangle", "clique", "cycle"),
-                         default="triangle")
-    p_sweep.add_argument("--k", type=int, default=3)
     p_sweep.add_argument("--start-index", type=int, default=0,
                          help="absolute index of the first grid point (resume)")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -307,7 +298,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except ConvergenceError as exc:
-        sys.stderr.write(f"convergence error: {exc}\n")
+        sys.stderr.write(
+            f"convergence error: {exc} (estimate={exc.estimate!r}, residual={exc.residual!r})\n"
+        )
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         sys.stderr.write(f"runtime error: {type(exc).__name__}: {exc}\n")

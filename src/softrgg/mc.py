@@ -41,6 +41,7 @@ from .specfun import DomainError
 from .stats import (
     MAX_ORDER,
     MIN_ORDER,
+    StatisticValue,
     signed_clique_stat,
     signed_cycle_stat,
     signed_triangle_stat,
@@ -166,12 +167,13 @@ def _fmt(x: float) -> str:
 
 def evaluate_statistic(
     sample: AdjacencySample, p: float, statistic: StatisticSpec
-) -> float:
+) -> StatisticValue:
+    """The one dispatch from a StatisticSpec to its signed statistic."""
     if statistic.kind == "triangle":
-        return signed_triangle_stat(sample, p).value
+        return signed_triangle_stat(sample, p)
     if statistic.kind == "clique":
-        return signed_clique_stat(sample, p, statistic.k).value
-    return signed_cycle_stat(sample, p, statistic.k).value
+        return signed_clique_stat(sample, p, statistic.k)
+    return signed_cycle_stat(sample, p, statistic.k)
 
 
 def _chunk_values(
@@ -188,7 +190,7 @@ def _chunk_values(
     for i in range(count):
         seed = int(rng.integers(0, 2**63))
         sample = sample_graph(params, mode, seed)
-        out[i] = evaluate_statistic(sample, params.p, statistic)
+        out[i] = evaluate_statistic(sample, params.p, statistic).value
     return out
 
 

@@ -8,7 +8,9 @@ in each present-edge class.  The counts come from exact integer arithmetic
 (trace and degree moments for triangles, histograms of packed-edge lookups
 for cliques and cycles), and a single shared evaluator maps a count vector
 to the float value.  Two consequences the tests rely on: results are exact,
-and any two routes that agree on the counts agree bit for bit.
+and any two routes that agree on the counts agree bit for bit.  The clique
+and cycle lookups read one index table from one vectorized builder,
+``_pair_table``, which caches only its last table.
 
 Monte Carlo estimators for latent edge patterns live here too.  Both read
 the one latent-pattern kernel, :func:`softrgg.model.pattern_class_histogram`,
@@ -22,14 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
 from .model import (
     AdjacencySample,
     _top_bin_estimate,
-    pair_index,
     pattern_class_histogram,
     substream,
 )
@@ -142,28 +143,49 @@ def signed_triangle_stat(sample: AdjacencySample, p: float) -> StatisticValue:
     return StatisticValue(kind="signed-triangle", k=3, value=value, method="trace")
 
 
-def _check_table_budget(rows: int, cols: int, what: str) -> None:
-    nbytes = rows * cols * 8
+@lru_cache(maxsize=1)
+def _pair_table(n: int, k: int, kind: str) -> np.ndarray:
+    """Packed-edge indices of every clique or (k-subset, Hamilton cycle) instance.
+
+    A clique has one pattern, every position pair of the k-set; a cycle has
+    the patterns of :func:`canonical_cycles`.  Rows are subset-major in
+    ``combinations`` order, one per (subset, pattern).  The size is checked
+    against INDEX_TABLE_BUDGET before anything is allocated, and only the
+    last table is kept, so the budget bounds what the process holds.
+    """
+    patterns = (tuple(combinations(range(k), 2)),) if kind == "clique" else canonical_cycles(k)
+    subsets, width = math.comb(n, k), len(patterns[0])
+    nbytes = subsets * len(patterns) * width * 8
     if nbytes > INDEX_TABLE_BUDGET:
         raise DomainError(
-            f"{what} index table would take {nbytes} bytes, above the "
+            f"n={n}, k={k} {kind} index table would take {nbytes} bytes, above the "
             f"{INDEX_TABLE_BUDGET}-byte budget"
         )
+    vertices = np.fromiter(
+        chain.from_iterable(combinations(range(n), k)), dtype=np.min_scalar_type(n),
+        count=subsets * k,
+    ).reshape(subsets, k)
+    # pair_index(i, j, n) == row_base[i] + j for i < j.
+    v = np.arange(n, dtype=np.int64)
+    row_base = v * n - v * (v + 1) // 2 - v - 1
+    # One column per distinct position pair (a, b), coded a*k + b, written
+    # into every (pattern, slot) that holds that pair.
+    codes = np.array(patterns).dot((k, 1))
+    table = np.empty((subsets,) + codes.shape, dtype=np.int64)
+    for code in np.unique(codes):
+        a, b = divmod(int(code), k)
+        table[:, codes == code] = (row_base[vertices[:, a]] + vertices[:, b])[:, None]
+    table = table.reshape(-1, width)
+    table.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=64)
-def _subset_pair_indices(n: int, k: int):
-    """Packed-edge indices of all pairs inside each k-subset of range(n)."""
-    _check_table_budget(math.comb(n, k), k * (k - 1) // 2, f"n={n}, k={k} clique")
-    subsets = list(combinations(range(n), k))
-    idx = np.empty((len(subsets), k * (k - 1) // 2), dtype=np.int64)
-    for row, subset in enumerate(subsets):
-        idx[row] = [pair_index(a, b, n) for a, b in combinations(subset, 2)]
-    return idx
-
-
-def _table_histogram(sample: AdjacencySample, idx: np.ndarray) -> np.ndarray:
-    """Histogram over index-table rows of how many of their edges are present."""
+def _table_histogram(sample: AdjacencySample, k: int, kind: str) -> np.ndarray:
+    """Histogram over ``_pair_table`` rows of how many of their edges are present."""
+    _check_order(k)
+    if k > sample.n:
+        raise DomainError(f"subgraph order k={k} exceeds the n={sample.n} vertices")
+    idx = _pair_table(sample.n, k, kind)
     n_edges = idx.shape[1]
     vec = sample.edge_vector().astype(np.int64)
     hist = np.zeros(n_edges + 1, dtype=np.int64)
@@ -175,8 +197,7 @@ def _table_histogram(sample: AdjacencySample, idx: np.ndarray) -> np.ndarray:
 
 def clique_edge_histogram(sample: AdjacencySample, k: int) -> np.ndarray:
     """Histogram over k-subsets of how many of their k(k-1)/2 edges are present."""
-    _check_order(k)
-    return _table_histogram(sample, _subset_pair_indices(sample.n, k))
+    return _table_histogram(sample, k, "clique")
 
 
 def signed_clique_stat(sample: AdjacencySample, p: float, k: int) -> StatisticValue:
@@ -215,27 +236,9 @@ def canonical_cycles(k: int):
     return tuple(cycles)
 
 
-@lru_cache(maxsize=64)
-def _cycle_pair_indices(n: int, k: int):
-    """Packed-edge indices for every (k-subset, Hamilton cycle) pair."""
-    cycles = canonical_cycles(k)
-    _check_table_budget(math.comb(n, k) * len(cycles), k, f"n={n}, k={k} cycle")
-    subsets = list(combinations(range(n), k))
-    idx = np.empty((len(subsets) * len(cycles), k), dtype=np.int64)
-    row = 0
-    for subset in subsets:
-        for cycle in cycles:
-            idx[row] = [
-                pair_index(subset[a], subset[b], n) for a, b in cycle
-            ]
-            row += 1
-    return idx
-
-
 def cycle_edge_histogram(sample: AdjacencySample, k: int) -> np.ndarray:
     """Histogram over (k-subset, cycle) instances of present cycle edges."""
-    _check_order(k)
-    return _table_histogram(sample, _cycle_pair_indices(sample.n, k))
+    return _table_histogram(sample, k, "cycle")
 
 
 def signed_cycle_stat(sample: AdjacencySample, p: float, k: int) -> StatisticValue:

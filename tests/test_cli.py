@@ -111,6 +111,8 @@ def test_latent_output_lies_on_sphere(tmp_path, capsys):
 def test_validation_errors_exit_one(tmp_path, capsys):
     big_graph = tmp_path / "n100.json"
     big_graph.write_text(json.dumps({"n": 100, "p": 0.5, "edges": []}))
+    tiny_graph = tmp_path / "n3.json"
+    tiny_graph.write_text(json.dumps({"n": 3, "p": 0.5, "edges": [[0, 1]]}))
     cases = (
         ("stat", "--graph", str(tmp_path / "missing.json")),
         ("theory", "--quantity", "gamma"),
@@ -122,6 +124,8 @@ def test_validation_errors_exit_one(tmp_path, capsys):
         ("detect", "--n", "3", "--p", "0.5", "--seed", "1", "--reps", "100",
          "--stat", "cycle", "--k", "5"),
         ("stat", "--graph", str(big_graph), "--kind", "cycle", "--k", "5"),
+        ("stat", "--graph", str(tiny_graph), "--kind", "cycle", "--k", "5"),
+        ("stat", "--graph", str(tiny_graph), "--kind", "triangle", "--k", "7"),
         ("nonsense",),
     )
     for argv in cases:
@@ -140,6 +144,8 @@ def test_runtime_errors_exit_two(capsys, monkeypatch):
         "--seed", "1", "--reps", "100",
     )
     assert rc == 2 and err.startswith("convergence error:")
+    assert "estimate=0.0" in err and "residual=1.0" in err
+    assert err.strip().count("\n") == 0
 
     def crash(*a, **k):
         raise RuntimeError("unexpected")

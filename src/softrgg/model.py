@@ -16,6 +16,13 @@ A Gaussian dot-product variant skips the normalization and thresholds the
 raw inner product of standard normal vectors at u_{p,d}, the solution of
 E[1 - Phi(u / |x|)] = p over the chi(d) norm distribution.
 
+Graphs are sampled from their latents.  Edge patterns on m vertices read
+only the m x m Gram matrix of their latents, which before the sphere
+normalization is Wishart(d, I_m).  The one latent-pattern kernel therefore
+draws its Bartlett factor instead of the latents, and normalizes the
+factor's columns in the sphere modes: min(m, d) chi-squares and at most
+m(m - 1)/2 normals per draw, a cost that does not depend on d.
+
 Sampling is deterministic per (params, mode, seed): streams come from a
 counter-based Philox generator keyed through SeedSequence spawn paths, so
 a seed plus a stream path pins every bit of a sample regardless of how many
@@ -448,8 +455,26 @@ def _pattern_size(pattern):
     return pattern, m
 
 
-def _batch_size(m, d, reps):
-    return max(256, min(reps, 4_194_304 // max(m * d, 1)))
+def _batch_size(m, r, reps):
+    return max(256, min(reps, 4_194_304 // max(m * r, 1)))
+
+
+def _bartlett_factor(b: int, m: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """b Bartlett factors of the Gram matrix of m standard normal d-vectors.
+
+    Returns R of shape (r, m, b) with r = min(m, d): R[:, :, k] is upper
+    trapezoidal with sqrt(chi^2(d - i)) at (i, i) and N(0, 1) right of it,
+    so its columns have the inner products of m independent N(0, I_d)
+    vectors (R^T R is Wishart(d, I_m), also when m > d).  The normals are
+    drawn before the chi-squares.
+    """
+    r = min(m, d)
+    R = np.zeros((r, m, b))
+    i, j = np.triu_indices(r, 1, m)
+    R[i, j] = rng.standard_normal((i.size, b))
+    k = np.arange(r)
+    R[k, k] = np.sqrt(rng.chisquare((d - k)[:, None], size=(r, b)))
+    return R
 
 
 def pattern_class_histogram(mode: str, p: float, d: int, q: float, pattern,
@@ -458,30 +483,35 @@ def pattern_class_histogram(mode: str, p: float, d: int, q: float, pattern,
     are present.
 
     The pattern is a tuple of vertex pairs over 0..m-1, with m inferred
-    from the labels.  Each batch draws its (b, m, d) latents, thresholds
-    the pattern pairs' inner products and applies ``mode``'s edge law;
-    ``er`` draws no latents.  Entry e of the int64 result counts the draws
-    with exactly e edges present.
+    from the labels.  The edges read only the m x m Gram matrix of the
+    latents, so each batch draws its Bartlett factors instead of the
+    latents themselves, at a cost that does not depend on d: sphere modes
+    normalize the factor's columns, ``dot-product`` uses them as they are.
+    The pattern pairs' inner products are thresholded and ``mode``'s edge
+    law applied; ``er`` draws no factors.  Entry e of the int64 result
+    counts the draws with exactly e edges present.
     """
     if mode not in MODES:
         raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if reps < 1:
+        raise DomainError(f"reps must be at least 1, got {reps!r}")
     pattern, m = _pattern_size(pattern)
     n_edges = len(pattern)
     if mode != "er":
         kind, threshold = _latent_threshold(mode, p, d)
     hist = np.zeros(n_edges + 1, dtype=np.int64)
-    batch = _batch_size(m, d, reps)
+    batch = _batch_size(m, min(m, d), reps)
     done = 0
     while done < reps:
         b = min(batch, reps - done)
-        hard = np.zeros((b, n_edges), dtype=bool)
+        hard = np.zeros((n_edges, b), dtype=bool)
         if mode != "er":
-            x = rng.standard_normal((b, m, d))
+            x = _bartlett_factor(b, m, d, rng)
             if kind == "sphere":
-                x /= np.linalg.norm(x, axis=2, keepdims=True)
+                x /= np.sqrt(np.einsum("rmb,rmb->mb", x, x))
             for e, (i, j) in enumerate(pattern):
-                hard[:, e] = np.einsum("bd,bd->b", x[:, i, :], x[:, j, :]) >= threshold
-        present = _edge_law(mode, hard, p, q, rng)
+                hard[e] = np.einsum("rb,rb->b", x[:, i], x[:, j]) >= threshold
+        present = _edge_law(mode, hard.T, p, q, rng)
         hist += np.bincount(present.sum(axis=1), minlength=n_edges + 1)
         done += b
     return hist

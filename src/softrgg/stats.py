@@ -14,9 +14,10 @@ and cycle lookups read one index table from one vectorized builder,
 
 Monte Carlo estimators for latent edge patterns live here too.  Both read
 the one latent-pattern kernel, :func:`softrgg.model.pattern_class_histogram`,
-which draws fresh latents in vectorized batches and applies the sampler's
-edge law, so a pattern probability is its top bin and a signed pattern
-mean is its class histogram weighted as above.
+which draws the Bartlett factor of the pattern's Gram matrix in vectorized
+batches, at a cost per draw that does not depend on d, and applies the
+sampler's edge law, so a pattern probability is its top bin and a signed
+pattern mean is its class histogram weighted as above.
 """
 
 from __future__ import annotations

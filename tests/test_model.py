@@ -31,6 +31,7 @@ from softrgg.model import (
     substream,
     thresholds,
     MODES,
+    _bartlett_factor,
 )
 from softrgg.specfun import DomainError, reg_inc_beta, std_normal_quantile
 
@@ -241,6 +242,27 @@ def test_edge_marginal_all_modes():
     for mode in MODES:
         mean, se = edge_marginal_estimate(params, mode, reps=1_000_000, seed=404)
         assert abs(mean - params.p) <= 3.0 * se
+
+
+@pytest.mark.parametrize("m,d", [(4, 2), (3, 16), (4, 64)])
+def test_bartlett_factor_has_wishart_moments(m, d):
+    # R^T R is Wishart(d, I_m): G_ii ~ chi^2(d), and G_ij for i != j has
+    # mean 0 and variance d.  Each moment is checked at 3 SE per entry.
+    b = 200_000
+    r = min(m, d)
+    R = _bartlett_factor(b, m, d, substream(4040, m, d))
+    assert R.shape == (r, m, b)
+    for i in range(r):
+        assert np.all(R[i, :i] == 0.0)
+        assert np.all(R[i, i] > 0.0)
+    G = np.einsum("rib,rjb->ijb", R, R)
+    for i in range(m):
+        for j in range(i, m):
+            g = G[i, j]
+            mean, var = (d, 2 * d) if i == j else (0, d)
+            sq = (g - mean) ** 2
+            assert abs(g.mean() - mean) <= 3 * g.std() / math.sqrt(b), (i, j)
+            assert abs(sq.mean() - var) <= 3 * sq.std() / math.sqrt(b), (i, j)
 
 
 def test_pair_index_matches_triu_order():

@@ -12,7 +12,13 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from softrgg.model import AdjacencySample, ModelParams, sample_graph, substream
+from softrgg.model import (
+    AdjacencySample,
+    ModelParams,
+    edge_marginal_estimate,
+    sample_graph,
+    substream,
+)
 from softrgg.specfun import DomainError
 from softrgg.stats import (
     CHERRY_PATTERN,
@@ -265,3 +271,10 @@ def test_pattern_validation():
         subgraph_probability_estimate("nope", 0.5, 8, TRIANGLE_PATTERN, reps=10, seed=0)
     with pytest.raises(DomainError):
         signed_pattern_estimate("sphere", 0.5, 8, 1.5, TRIANGLE_PATTERN, reps=10, seed=0)
+    for reps in (0, -5):
+        with pytest.raises(DomainError):
+            subgraph_probability_estimate("sphere", 0.5, 8, TRIANGLE_PATTERN, reps=reps, seed=0)
+        with pytest.raises(DomainError):
+            signed_pattern_estimate("sphere", 0.5, 8, 0.5, TRIANGLE_PATTERN, reps=reps, seed=0)
+        with pytest.raises(DomainError):
+            edge_marginal_estimate(ModelParams(n=2, p=0.5, d=8), "er", reps=reps, seed=0)

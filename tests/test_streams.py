@@ -1,11 +1,13 @@
 """Frozen random streams.
 
-Each value below was recorded before the samplers and pattern estimators
-were rebuilt on one edge law and one latent-pattern kernel, and still holds
-after it.  A change that moves one must announce the new stream in
-CHANGES.md.  The graphs are pinned by the sha256 of their packed edge bits,
-the pattern estimators by their exact (mean, se) floats, and the CLI by its
-stdout bytes.
+The graph bits and the CLI stdout were recorded before the samplers and
+pattern estimators were rebuilt on one edge law and one latent-pattern
+kernel, and still hold after it.  The pattern estimator values were
+recorded when that kernel began drawing Bartlett factors of the Gram
+matrix instead of the latents.  A change that moves one must announce the
+new stream in CHANGES.md.  The graphs are pinned by the sha256 of their
+packed edge bits, the pattern estimators by their exact (mean, se) floats,
+and the CLI by its stdout bytes.
 """
 
 import hashlib
@@ -46,14 +48,18 @@ def test_sample_graph_bits_are_frozen(mode, q):
 
 
 # (kind, p, d, q, pattern, reps, seed, probability (mean, se), signed (mean, se));
-# the last case spans three batches of latent draws.
+# the d = 3000 case draws the factor of a 4 x 4 Gram matrix at a d far above
+# m, and the last case has m > d and spans two batches of draws.
 PATTERN_CASES = (
     ("sphere", 0.5, 16, 0.3, TRIANGLE_PATTERN, 5000, 3,
-     (0.1446, 0.004973747882633377), (-0.00115, 0.0017676921394858326)),
+     (0.133, 0.004802311943220682), (0.0033, 0.0017671508141638619)),
     ("gauss", 0.3, 16, 1.0, CHERRY_PATTERN, 5000, 4,
-     (0.0894, 0.004035037546293714), (-0.003960000000000009, 0.0029570092458428327)),
+     (0.09, 0.004047221268969612), (-0.0018200000000000041, 0.0029296787400669034)),
     ("sphere", 0.4, 3000, 0.6, FOUR_CYCLE_PATTERN, 1000, 5,
-     (0.025, 0.0049371044145328745), (-0.005935999999999998, 0.0018262203328185786)),
+     (0.031, 0.0054807846153630225), (-0.00023999999999999765, 0.0018303940559344046)),
+    ("sphere", 0.5, 2, 0.6, FOUR_CYCLE_PATTERN, 600_000, 6,
+     (0.08335333333333333, 0.0003568509379641952),
+     (0.0026270833333333333, 8.061584245832951e-05)),
 )
 
 

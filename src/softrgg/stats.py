@@ -4,13 +4,15 @@ The signed statistics are sums of products of centered edge indicators
 (a_e - p) over small vertex sets.  Every such product depends on the edge
 pattern only through how many of its edges are present, so each statistic
 is computed here from integer counts: the number of k-subsets (or cycles)
-in each present-edge class.  The counts come from exact integer arithmetic
-(trace and degree moments for triangles, histograms of packed-edge lookups
-for cliques and cycles), and a single shared evaluator maps a count vector
-to the float value.  Two consequences the tests rely on: results are exact,
-and any two routes that agree on the counts agree bit for bit.  The clique
-and cycle lookups read one index table from one vectorized builder,
-``_pair_table``, which caches only its last table.
+in each present-edge class.  The counts come from exact integer arithmetic,
+and a single shared evaluator maps a count vector to the float value.
+Triangles and cycles of length 3 to 5 read trace and degree counts of the
+dense adjacency (:func:`_subgraph_counts`); cliques and cycles of length 6
+and up read histograms of packed-edge lookups in one index table from one
+vectorized builder, ``_pair_table``, which caches only its last table and
+is also the test oracle for the closed forms.  Two consequences the tests
+rely on: results are exact, and any two routes that agree on the counts
+agree bit for bit.
 
 Monte Carlo estimators for latent edge patterns live here too.  Both read
 the one latent-pattern kernel, :func:`softrgg.model.pattern_class_histogram`,
@@ -113,20 +115,67 @@ def _check_order(k):
         )
 
 
-def _triangle_class_counts(sample: AdjacencySample):
-    """Integer counts (N0, N1, N2, N3) of triples by present-edge class.
+def _subgraph_counts(sample: AdjacencySample, k: int) -> dict:
+    """Exact small-subgraph counts of the graph, as Python ints.
 
-    N3 comes from tr(A^3)/6.  The matrix powers run in float64, which is
-    exact here: every intermediate is an integer below 2^53 for any n this
-    package handles.
+    Every order k gets the edge count m, the 2-edge paths P2 and the
+    triangles T.  k >= 4 adds the 3-edge paths P3 and the 4-cycles C4;
+    k = 5 adds the 4-edge paths P4, the (2-edge path, disjoint edge) pairs
+    Q and the 5-cycles C5.  All of them come from the degrees d (e = d - 1),
+    the dense adjacency A, A^2, the diagonal of A^3 and the traces of A^4
+    and A^5.
+
+    The work is a few dense n x n float64 arrays: A, A^2 and, for k = 5,
+    A^3, while ``to_dense`` and its cached index arrays hold at most about
+    two more, so five arrays of 8 n^2 bytes bound the peak.  That is
+    checked against INDEX_TABLE_BUDGET before anything is allocated, which
+    caps n at 5,181.  Exactness below that n: entries of A^2 and A^3 are
+    integers at most (n-1)^2 < 2^53, so the float products are exact in any
+    summation order, and so is every per-vertex row reduction (the largest,
+    (A^5)_ii, is at most (n-1)^4 < 2^53).  Those vectors are cast to int64,
+    and every trace and quadratic form is summed in int64; the largest,
+    tr A^5 and |A e|^2, stay below n^5 < 2^63 (n^5 is 3.7e18 at n = 5,181).
     """
     n = sample.n
+    nbytes = 5 * 8 * n * n
+    if nbytes > INDEX_TABLE_BUDGET:
+        raise DomainError(
+            f"n={n} closed-form counts would take {nbytes} bytes of dense arrays, "
+            f"above the {INDEX_TABLE_BUDGET}-byte budget"
+        )
     adj = sample.to_dense().astype(float)
-    deg = adj.sum(axis=1)
+    a2 = adj @ adj
+    deg = adj.sum(axis=1).astype(np.int64)
+    walks3 = np.einsum("ij,ij->i", a2, adj).astype(np.int64)  # (A^3)_ii
     m = int(deg.sum()) // 2
-    tr_a3 = float(np.sum((adj @ adj) * adj))
-    n3 = int(round(tr_a3)) // 6
-    paths2 = int(round(float(np.sum(deg * (deg - 1.0))))) // 2
+    paths2 = int(deg @ (deg - 1)) // 2
+    tri = int(walks3.sum()) // 6
+    counts = {"m": m, "P2": paths2, "T": tri}
+    if k >= 4:
+        ex = deg - 1
+        a_ex = (adj @ ex).astype(np.int64)
+        deg2 = int(deg @ deg)
+        tr4 = int(np.einsum("ij,ij->i", a2, a2).astype(np.int64).sum())
+        counts["P3"] = int(ex @ a_ex) // 2 - 3 * tri
+        counts["C4"] = (tr4 - 2 * deg2 + 2 * m) // 8
+    if k >= 5:
+        a3 = a2 @ adj
+        tr5 = int(np.einsum("ij,ij->i", a2, a3).astype(np.int64).sum())
+        a_deg = (adj @ deg).astype(np.int64)
+        counts["Q"] = (paths2 * (m + 2) - int(deg @ (deg * ex)) // 2
+                       - int(ex @ a_deg) + 3 * tri)
+        counts["P4"] = ((int(a_ex @ a_ex) - int(deg @ (ex * ex))) // 2
+                        - int(ex @ walks3) + 3 * tri - (tr4 - deg2) // 2 + paths2)
+        # tr A^5 - 5 sum (d_i - 2)(A^3)_ii - 5 tr A^3 (Alon, Yuster and Zwick).
+        counts["C5"] = (tr5 - 5 * int((deg - 2) @ walks3) - 30 * tri) // 10
+    return counts
+
+
+def _triangle_class_counts(sample: AdjacencySample):
+    """Integer counts (N0, N1, N2, N3) of triples by present-edge class."""
+    n = sample.n
+    c = _subgraph_counts(sample, 3)
+    m, paths2, n3 = c["m"], c["P2"], c["T"]
     n2 = paths2 - 3 * n3
     n1 = m * (n - 2) - 2 * paths2 + 3 * n3
     n0 = math.comb(n, 3) - n3 - n2 - n1
@@ -181,11 +230,15 @@ def _pair_table(n: int, k: int, kind: str) -> np.ndarray:
     return table
 
 
-def _table_histogram(sample: AdjacencySample, k: int, kind: str) -> np.ndarray:
-    """Histogram over ``_pair_table`` rows of how many of their edges are present."""
+def _check_instance(sample: AdjacencySample, k: int):
     _check_order(k)
     if k > sample.n:
         raise DomainError(f"subgraph order k={k} exceeds the n={sample.n} vertices")
+
+
+def _table_histogram(sample: AdjacencySample, k: int, kind: str) -> np.ndarray:
+    """Histogram over ``_pair_table`` rows of how many of their edges are present."""
+    _check_instance(sample, k)
     idx = _pair_table(sample.n, k, kind)
     n_edges = idx.shape[1]
     vec = sample.edge_vector().astype(np.int64)
@@ -237,13 +290,55 @@ def canonical_cycles(k: int):
     return tuple(cycles)
 
 
+def _cycle_forest_counts(sample: AdjacencySample, k: int) -> list:
+    """F_j, j = 0..k: the number of (k-cycle of K_n, j of its edges in G) pairs.
+
+    Each j-edge set of G that lies on a k-cycle is a linear forest, and how
+    many k-cycles of K_n pass through a forest depends only on its shape,
+    so F_j weights the forest counts of :func:`_subgraph_counts`, with
+    M2 = C(m, 2) - P2 the 2-edge matchings:
+      k = 4: 3 C(n,4), m (n-2)(n-3), (n-3) P2 + 2 M2, P3, C4;
+      k = 5: 12 C(n,5), 6 m C(n-2,3), 2 C(n-3,2) P2 + 4 (n-4) M2,
+             (n-4) P3 + 2 Q, P4, C5.
+    """
+    n = sample.n
+    c = _subgraph_counts(sample, k)
+    m, paths2 = c["m"], c["P2"]
+    matchings2 = math.comb(m, 2) - paths2
+    if k == 4:
+        return [3 * math.comb(n, 4), m * (n - 2) * (n - 3),
+                (n - 3) * paths2 + 2 * matchings2, c["P3"], c["C4"]]
+    return [12 * math.comb(n, 5), 6 * m * math.comb(n - 2, 3),
+            2 * math.comb(n - 3, 2) * paths2 + 4 * (n - 4) * matchings2,
+            (n - 4) * c["P3"] + 2 * c["Q"], c["P4"], c["C5"]]
+
+
 def cycle_edge_histogram(sample: AdjacencySample, k: int) -> np.ndarray:
-    """Histogram over (k-subset, cycle) instances of present cycle edges."""
-    return _table_histogram(sample, k, "cycle")
+    """Histogram over (k-subset, cycle) instances of present cycle edges.
+
+    For k <= 5 it is the inverse binomial transform
+    h_e = sum_j (-1)^(j-e) C(j, e) F_j of :func:`_cycle_forest_counts`
+    (triangles read their class counts directly); larger k reads the
+    enumeration table.  Both routes give the same integer vector.
+    """
+    if k > 5:
+        return _table_histogram(sample, k, "cycle")
+    _check_instance(sample, k)
+    if k == 3:
+        return np.array(_triangle_class_counts(sample), dtype=np.int64)
+    forests = _cycle_forest_counts(sample, k)
+    return np.array([
+        sum((-1) ** (j - e) * math.comb(j, e) * forests[j] for j in range(e, k + 1))
+        for e in range(k + 1)
+    ], dtype=np.int64)
 
 
 def signed_cycle_stat(sample: AdjacencySample, p: float, k: int) -> StatisticValue:
-    """kappa_k: sum over k-subsets and their Hamilton cycles of prod (a_e - p)."""
+    """kappa_k: sum over k-subsets and their Hamilton cycles of prod (a_e - p).
+
+    Cycles of length 3 to 5 are counted from trace and degree counts, longer
+    ones from the enumeration index table; both give the same histogram.
+    """
     hist = cycle_edge_histogram(sample, k)
     value = signed_weight_sum(hist, p, k)
     return StatisticValue(

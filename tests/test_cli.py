@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -123,7 +124,8 @@ def test_validation_errors_exit_one(tmp_path, capsys):
         ("stat", "--graph", str(tmp_path / "missing.json"), "--k", "9"),
         ("detect", "--n", "3", "--p", "0.5", "--seed", "1", "--reps", "100",
          "--stat", "cycle", "--k", "5"),
-        ("stat", "--graph", str(big_graph), "--kind", "cycle", "--k", "5"),
+        ("stat", "--graph", str(big_graph), "--kind", "cycle", "--k", "6"),
+        ("stat", "--graph", str(big_graph), "--kind", "clique", "--k", "5"),
         ("stat", "--graph", str(tiny_graph), "--kind", "cycle", "--k", "5"),
         ("stat", "--graph", str(tiny_graph), "--kind", "triangle", "--k", "7"),
         ("nonsense",),
@@ -132,6 +134,17 @@ def test_validation_errors_exit_one(tmp_path, capsys):
         rc, _, err = run_cli(capsys, *argv)
         assert rc == 1, argv
         assert err.startswith("error:") and err.strip().count("\n") == 0, argv
+
+
+def test_five_cycle_on_hundred_vertices(tmp_path, capsys):
+    # 5-cycles are counted in closed form, so no index table limits n here.
+    graph_path = tmp_path / "n100.json"
+    graph_path.write_text(json.dumps({"n": 100, "p": 0.5, "edges": []}))
+    rc, out, err = run_cli(
+        capsys, "stat", "--graph", str(graph_path), "--kind", "cycle", "--k", "5"
+    )
+    assert rc == 0 and err == ""
+    assert json.loads(out)["value"] == 12 * math.comb(100, 5) * (-0.5) ** 5
 
 
 def test_runtime_errors_exit_two(capsys, monkeypatch):

@@ -25,6 +25,7 @@ from softrgg.stats import (
     FOUR_CYCLE_PATTERN,
     TRIANGLE_PATTERN,
     UnsupportedOrderError,
+    _table_histogram,
     canonical_cycles,
     clique_edge_histogram,
     cycle_edge_histogram,
@@ -143,6 +144,47 @@ def test_cycle_stat_equals_enumeration_exactly():
 def test_cycle_k3_equals_triangle():
     for g in random_graphs(50, 9, 0.5, master_seed=110):
         assert signed_cycle_stat(g, 0.41, 3).value == signed_triangle_stat(g, 0.41).value
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_closed_form_cycles_equal_table_and_brute_force(k):
+    # Cycles of length 3..5 come from trace and degree counts; the
+    # enumeration table and the itertools oracle must give the same vector.
+    rng = np.random.default_rng(9100 + k)
+    graphs = []
+    for _ in range(200):
+        n = int(rng.integers(k, 13))
+        p = float(rng.uniform(0.05, 0.95))
+        graphs.append(sample_graph(ModelParams(n=n, p=p), "er", seed=int(rng.integers(1 << 30))))
+    for n in (k, 12):
+        graphs.append(AdjacencySample.from_edges(n, []))
+        graphs.append(AdjacencySample.from_edges(n, list(combinations(range(n), 2))))
+    for g in graphs:
+        hist = cycle_edge_histogram(g, k)
+        assert hist.dtype == np.int64
+        assert list(hist) == list(_table_histogram(g, k, "cycle")) == brute_cycle_histogram(g, k)
+
+
+def test_closed_form_cycles_equal_table_on_soft_sphere_graph():
+    g = sample_graph(ModelParams(n=40, p=0.3, d=6, q=0.8), "soft-sphere", seed=41)
+    for k in (3, 4, 5):
+        assert list(cycle_edge_histogram(g, k)) == list(_table_histogram(g, k, "cycle"))
+
+
+def test_closed_form_counts_refused_before_allocation(monkeypatch):
+    # Five n x n float64 work arrays fit the 1 GiB budget up to n = 5,181.
+    def no_dense(self):
+        raise AssertionError("dense adjacency built")
+
+    monkeypatch.setattr(AdjacencySample, "to_dense", no_dense)
+    big = AdjacencySample.from_edges(5182, [])
+    for k in (3, 4, 5):
+        with pytest.raises(DomainError, match="budget"):
+            cycle_edge_histogram(big, k)
+    with pytest.raises(DomainError, match="budget"):
+        signed_triangle_stat(big, 0.5)
+    with pytest.raises(AssertionError, match="dense adjacency built"):
+        cycle_edge_histogram(AdjacencySample.from_edges(5181, []), 5)
 
 
 def test_canonical_cycle_counts():

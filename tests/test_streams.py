@@ -4,18 +4,23 @@ The graph bits and the CLI stdout were recorded before the samplers and
 pattern estimators were rebuilt on one edge law and one latent-pattern
 kernel, and still hold after it.  The pattern estimator values were
 recorded when that kernel began drawing Bartlett factors of the Gram
-matrix instead of the latents.  A change that moves one must announce the
-new stream in CHANGES.md.  The graphs are pinned by the sha256 of their
-packed edge bits, the pattern estimators by their exact (mean, se) floats,
-and the CLI by its stdout bytes.
+matrix instead of the latents.  The signed-cycle stdout pins were recorded
+while 4- and 5-cycles were still counted by enumerating every (k-subset,
+Hamilton cycle) pair, before they moved to trace and degree counts, and
+hold on both routes.  A change that moves one must announce the new
+stream in CHANGES.md.  The graphs are pinned by the sha256 of their packed
+edge bits, the pattern estimators by their exact (mean, se) floats, and
+the CLI by its stdout bytes.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 import softrgg.cli as cli
-from softrgg.model import ModelParams, sample_graph
+from softrgg.model import AdjacencySample, ModelParams, graph_to_dict, sample_graph
 from softrgg.stats import (
     CHERRY_PATTERN,
     FOUR_CYCLE_PATTERN,
@@ -77,6 +82,12 @@ CLI_STDOUT = (
      '"power":0.84,"q":0.7,"reps":100,"seed":12,"stat_kind":"triangle",'
      '"stat_mean":9.09,"stat_se":0.6948337049618566,"status":"ok",'
      '"threshold":5.195,"type1":0.06}\n'),
+    (("detect", "--n", "14", "--p", "0.5", "--d", "8", "--q", "0.8", "--seed", "5",
+      "--reps", "100", "--stat", "cycle", "--k", "4"),
+     '{"d":8,"k":4,"mode":"soft-sphere","n":14,"p":0.5,"phase_label":"Possible",'
+     '"power":0.58,"q":0.8,"reps":100,"seed":5,"stat_kind":"cycle",'
+     '"stat_mean":3.7075,"stat_se":0.699191953439899,"status":"ok",'
+     '"threshold":2.22125,"type1":0.24}\n'),
     (("theory", "--quantity", "half-moments", "--d", "16"),
      '{"d":16,"eta":0.0016861999894259051,"gamma":0.016476171537213972,'
      '"house_prob":0.04033118576331994,"q1_lower":0.024680421639566345,'
@@ -102,3 +113,24 @@ CLI_STDOUT = (
 def test_cli_stdout_is_frozen(capsys, argv, stdout):
     assert cli.main(list(argv)) == 0
     assert capsys.readouterr().out == stdout
+
+
+# A stored 20-vertex soft-sphere graph (66 edges), as its packed edge bits.
+STORED_GRAPH_BITS = "900a268b0089ab0242832a260e88143d31402317406d81d8"
+
+CYCLE_STAT_STDOUT = {
+    "4": '{"k":4,"kind":"signed-cycle","method":"cycle-histogram","n":20,"p":0.4,'
+         '"value":60.55200000000003}\n',
+    "5": '{"k":5,"kind":"signed-cycle","method":"cycle-histogram","n":20,"p":0.4,'
+         '"value":181.17407999999978}\n',
+}
+
+
+@pytest.mark.parametrize("k", sorted(CYCLE_STAT_STDOUT))
+def test_cycle_stat_stdout_is_frozen(tmp_path, capsys, k):
+    bits = np.frombuffer(bytes.fromhex(STORED_GRAPH_BITS), dtype=np.uint8)
+    sample = AdjacencySample(20, bits, "soft-sphere", 19)
+    graph_path = tmp_path / "g20.json"
+    graph_path.write_text(json.dumps(graph_to_dict(sample, 0.4)))
+    assert cli.main(["stat", "--graph", str(graph_path), "--kind", "cycle", "--k", k]) == 0
+    assert capsys.readouterr().out == CYCLE_STAT_STDOUT[k]

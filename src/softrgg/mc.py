@@ -46,7 +46,7 @@ from .stats import (
     signed_cycle_stat,
     signed_triangle_stat,
 )
-from .theory import PHASE_UNKNOWN, PhasePoint, phase_classify
+from .theory import PhasePoint, phase_classify
 
 CHUNK_SIZE = 64
 

@@ -41,6 +41,7 @@ from .specfun import (
     ConvergenceError,
     DomainError,
     QuadratureSpec,
+    _solve_increasing,
     integrate,
     log_gamma,
     reg_inc_beta,
@@ -78,9 +79,6 @@ __all__ = [
 MODES = ("er", "hard-sphere", "soft-sphere", "soft-sphere-resample", "dot-product")
 LATENT_KINDS = ("sphere", "gauss")
 
-_GEOMETRIC_MODES = ("hard-sphere", "soft-sphere", "soft-sphere-resample", "dot-product")
-
-
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Philox generator for the given seed and stream path.
 
@@ -117,16 +115,14 @@ class Thresholds:
     """Connection thresholds for one (p, d) pair.
 
     t_p is the scalar normal quantile Phi^{-1}(1 - p); t_pd thresholds the
-    sphere inner product; u_pd (when computed) thresholds the Gaussian
-    dot product.  delta_pd = t_p - t_pd * sqrt(d) measures how far the
-    sphere threshold sits from its normal-approximation location.
+    sphere inner product.  delta_pd = t_p - t_pd * sqrt(d) measures how far
+    the sphere threshold sits from its normal-approximation location.
     """
 
     p: float
     d: int
     t_p: float
     t_pd: float
-    u_pd: float | None = None
 
     @property
     def delta_pd(self) -> float:
@@ -277,27 +273,41 @@ def sphere_threshold(p: float, d: int) -> float:
     """t_{p,d} with P(<x_1, x_2> >= t_{p,d}) = p on the unit sphere.
 
     The squared inner product of two uniform sphere points follows
-    Beta(1/2, (d-1)/2), so for p <= 1/2 the threshold is the square root
-    of a beta quantile; p > 1/2 mirrors through zero.
+    Beta(1/2, (d-1)/2), so P(<x_1, x_2> >= t) = I_{1-t^2}((d-1)/2, 1/2) / 2
+    for t >= 0.  For p <= 1/4 the threshold solves that upper tail directly,
+    for 1/4 < p <= 1/2 it is the square root of the Beta(1/2, (d-1)/2)
+    quantile at 1 - 2p (exact there), and p > 1/2 mirrors through zero.
+    P at the result is p to a relative 1e-9 of min(p, 1 - p), or as close
+    as adjacent doubles of t allow.
     """
     _require_open_p(p)
     if d < 2:
         raise DomainError(f"sphere threshold requires d >= 2, got {d}")
     if p > 0.5:
         return -sphere_threshold(1.0 - p, d)
+    if p <= 0.25:
+        return math.sqrt(1.0 - reg_inc_beta_inv((d - 1) / 2.0, 0.5, 2.0 * p))
     return math.sqrt(reg_inc_beta_inv(0.5, (d - 1) / 2.0, 1.0 - 2.0 * p))
 
 
 def sphere_exceed_prob(t: float, d: int) -> float:
-    """P(<x_1, x_2> >= t) for independent uniform points on S^{d-1}."""
+    """P(<x_1, x_2> >= t) for independent uniform points on S^{d-1}.
+
+    The tail beyond |t| is I_{(1-t)(1+t)}((d-1)/2, 1/2) / 2 while that is
+    below 1/4, which keeps small tails free of cancellation, and
+    (1 - I_{t^2}(1/2, (d-1)/2)) / 2 nearer t = 0.
+    """
     if d < 2:
         raise DomainError(f"requires d >= 2, got {d}")
     if abs(t) > 1.0:
         return 0.0 if t > 0 else 1.0
-    tail = 0.5 * (1.0 - reg_inc_beta(0.5, (d - 1) / 2.0, t * t))
+    tail = 0.5 * reg_inc_beta((d - 1) / 2.0, 0.5, (1.0 - abs(t)) * (1.0 + abs(t)))
+    if tail >= 0.25:
+        tail = 0.5 * (1.0 - reg_inc_beta(0.5, (d - 1) / 2.0, t * t))
     return tail if t >= 0.0 else 1.0 - tail
 
-def gauss_exceed_prob(u: float, d: int, abs_tol: float = 1e-11) -> float:
+
+def gauss_exceed_prob(u: float, d: int) -> float:
     """P(<x_1, x_2> >= u) for independent standard normal d-vectors.
 
     Conditioned on r = |x_1|, the inner product is N(0, r^2); the chi(d)
@@ -318,47 +328,36 @@ def gauss_exceed_prob(u: float, d: int, abs_tol: float = 1e-11) -> float:
 
     lo = max(0.0, math.sqrt(d) - 12.0)
     hi = math.sqrt(d) + 12.0
-    return integrate(integrand, QuadratureSpec(lo, hi, abs_tol=abs_tol))
+    return integrate(integrand, QuadratureSpec(lo, hi, abs_tol=1e-11))
 
 
 @lru_cache(maxsize=1024)
 def gauss_threshold(p: float, d: int) -> float:
-    """u_{p,d} solving gauss_exceed_prob(u, d) = p, by bisection."""
+    """u_{p,d} solving gauss_exceed_prob(u, d) = p.
+
+    Bisection to an absolute residual of 1e-9 in p; p > 1/2 mirrors
+    through zero, as the inner product is symmetric.
+    """
     _require_open_p(p)
     if d < 1:
         raise DomainError(f"requires d >= 1, got {d}")
+    if p > 0.5:
+        return -gauss_threshold(1.0 - p, d)
+    if p == 0.5:
+        return 0.0
     t_p = std_normal_quantile(1.0 - p)
     half_width = math.sqrt(d) * (abs(t_p) + 8.0) + 8.0
-    lo, hi = -half_width, half_width
-    if not gauss_exceed_prob(lo, d) > p > gauss_exceed_prob(hi, d):
+    if not gauss_exceed_prob(-half_width, d) > p > gauss_exceed_prob(half_width, d):
         raise ConvergenceError("gauss_threshold bracket failed to enclose p")
-    u = 0.0
-    for _ in range(200):
-        u = 0.5 * (lo + hi)
-        val = gauss_exceed_prob(u, d)
-        if abs(val - p) <= 1e-9:
-            return u
-        if val > p:
-            lo = u
-        else:
-            hi = u
-        if hi - lo <= 1e-13 * max(1.0, abs(u)):
-            break
-    residual = abs(gauss_exceed_prob(u, d) - p)
-    if residual > 1e-9:
-        raise ConvergenceError(
-            "gauss_threshold bisection stalled", estimate=u, residual=residual
-        )
-    return u
+    return _solve_increasing(lambda u: -gauss_exceed_prob(u, d), -p,
+                             -half_width, half_width, 1e-9)
 
 
-def thresholds(p: float, d: int, with_gauss: bool = False) -> Thresholds:
-    """All thresholds for (p, d); the Gaussian one only on request (slower)."""
+def thresholds(p: float, d: int) -> Thresholds:
+    """The normal quantile and the sphere threshold for (p, d)."""
     _require_open_p(p)
-    t_p = std_normal_quantile(1.0 - p)
-    t_pd = sphere_threshold(p, d)
-    u_pd = gauss_threshold(p, d) if with_gauss else None
-    return Thresholds(p=p, d=d, t_p=t_p, t_pd=t_pd, u_pd=u_pd)
+    t_p = -std_normal_quantile(p)
+    return Thresholds(p=p, d=d, t_p=t_p, t_pd=sphere_threshold(p, d))
 
 
 def connection_function(p: float, q: float, threshold: float) -> ConnectionFunction:

@@ -171,25 +171,13 @@ def _subgraph_counts(sample: AdjacencySample, k: int) -> dict:
     return counts
 
 
-def _triangle_class_counts(sample: AdjacencySample):
-    """Integer counts (N0, N1, N2, N3) of triples by present-edge class."""
-    n = sample.n
-    c = _subgraph_counts(sample, 3)
-    m, paths2, n3 = c["m"], c["P2"], c["T"]
-    n2 = paths2 - 3 * n3
-    n1 = m * (n - 2) - 2 * paths2 + 3 * n3
-    n0 = math.comb(n, 3) - n3 - n2 - n1
-    return n0, n1, n2, n3
-
-
 def signed_triangle_stat(sample: AdjacencySample, p: float) -> StatisticValue:
     """tau_3 = sum over vertex triples of prod (a_e - p).
 
     Equals tr(Abar^3)/6 for the zero-diagonal centered adjacency matrix;
     evaluated through exact triple-class counts.
     """
-    counts = _triangle_class_counts(sample)
-    value = signed_weight_sum(counts, p, 3)
+    value = signed_weight_sum(_cycle_class_counts(sample, 3), p, 3)
     return StatisticValue(kind="signed-triangle", k=3, value=value, method="trace")
 
 
@@ -290,47 +278,48 @@ def canonical_cycles(k: int):
     return tuple(cycles)
 
 
-def _cycle_forest_counts(sample: AdjacencySample, k: int) -> list:
-    """F_j, j = 0..k: the number of (k-cycle of K_n, j of its edges in G) pairs.
+def _cycle_class_counts(sample: AdjacencySample, k: int) -> list:
+    """Counts of (k-cycle of K_n) instances by present edges, k = 3, 4, 5.
 
-    Each j-edge set of G that lies on a k-cycle is a linear forest, and how
-    many k-cycles of K_n pass through a forest depends only on its shape,
-    so F_j weights the forest counts of :func:`_subgraph_counts`, with
-    M2 = C(m, 2) - P2 the 2-edge matchings:
+    F_j, j = 0..k, is the number of (k-cycle of K_n, j of its edges in G)
+    pairs.  Each j-edge set of G that lies on a k-cycle is a linear forest,
+    and how many k-cycles of K_n pass through a forest depends only on its
+    shape, so F_j weights the forest counts of :func:`_subgraph_counts`,
+    with M2 = C(m, 2) - P2 the 2-edge matchings:
+      k = 3: C(n,3), m (n-2), P2, T;
       k = 4: 3 C(n,4), m (n-2)(n-3), (n-3) P2 + 2 M2, P3, C4;
       k = 5: 12 C(n,5), 6 m C(n-2,3), 2 C(n-3,2) P2 + 4 (n-4) M2,
              (n-4) P3 + 2 Q, P4, C5.
+    The class counts are the inverse binomial transform
+    h_e = sum_j (-1)^(j-e) C(j, e) F_j, as Python ints.
     """
     n = sample.n
     c = _subgraph_counts(sample, k)
     m, paths2 = c["m"], c["P2"]
     matchings2 = math.comb(m, 2) - paths2
-    if k == 4:
-        return [3 * math.comb(n, 4), m * (n - 2) * (n - 3),
-                (n - 3) * paths2 + 2 * matchings2, c["P3"], c["C4"]]
-    return [12 * math.comb(n, 5), 6 * m * math.comb(n - 2, 3),
-            2 * math.comb(n - 3, 2) * paths2 + 4 * (n - 4) * matchings2,
-            (n - 4) * c["P3"] + 2 * c["Q"], c["P4"], c["C5"]]
+    if k == 3:
+        forests = [math.comb(n, 3), m * (n - 2), paths2, c["T"]]
+    elif k == 4:
+        forests = [3 * math.comb(n, 4), m * (n - 2) * (n - 3),
+                   (n - 3) * paths2 + 2 * matchings2, c["P3"], c["C4"]]
+    else:
+        forests = [12 * math.comb(n, 5), 6 * m * math.comb(n - 2, 3),
+                   2 * math.comb(n - 3, 2) * paths2 + 4 * (n - 4) * matchings2,
+                   (n - 4) * c["P3"] + 2 * c["Q"], c["P4"], c["C5"]]
+    return [sum((-1) ** (j - e) * math.comb(j, e) * forests[j] for j in range(e, k + 1))
+            for e in range(k + 1)]
 
 
 def cycle_edge_histogram(sample: AdjacencySample, k: int) -> np.ndarray:
     """Histogram over (k-subset, cycle) instances of present cycle edges.
 
-    For k <= 5 it is the inverse binomial transform
-    h_e = sum_j (-1)^(j-e) C(j, e) F_j of :func:`_cycle_forest_counts`
-    (triangles read their class counts directly); larger k reads the
+    For k <= 5 it is :func:`_cycle_class_counts`; larger k reads the
     enumeration table.  Both routes give the same integer vector.
     """
     if k > 5:
         return _table_histogram(sample, k, "cycle")
     _check_instance(sample, k)
-    if k == 3:
-        return np.array(_triangle_class_counts(sample), dtype=np.int64)
-    forests = _cycle_forest_counts(sample, k)
-    return np.array([
-        sum((-1) ** (j - e) * math.comb(j, e) * forests[j] for j in range(e, k + 1))
-        for e in range(k + 1)
-    ], dtype=np.int64)
+    return np.array(_cycle_class_counts(sample, k), dtype=np.int64)
 
 
 def signed_cycle_stat(sample: AdjacencySample, p: float, k: int) -> StatisticValue:

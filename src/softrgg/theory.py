@@ -276,27 +276,23 @@ class TriangleMeanBounds:
     constant_se: float = 0.0
 
 
+# Calibration of the measured triangle constant: dimension, replicates, seed.
+_CALIBRATION_D = 256
+_CALIBRATION_REPS = 2_000_000
+_CALIBRATION_SEED = 24181
+
+
 @lru_cache(maxsize=64)
-def _measured_triangle_constant(
-    p: float, d_cal: int, reps: int, seed: int
-) -> tuple[float, float]:
+def _measured_triangle_constant(p: float) -> tuple[float, float]:
     est, se = signed_pattern_estimate(
-        "sphere", p, d_cal, 1.0, TRIANGLE_PATTERN, reps=reps, seed=seed
+        "sphere", p, _CALIBRATION_D, 1.0, TRIANGLE_PATTERN,
+        reps=_CALIBRATION_REPS, seed=_CALIBRATION_SEED,
     )
-    root = math.sqrt(d_cal)
+    root = math.sqrt(_CALIBRATION_D)
     return est * root, se * root
 
 
-def signed_triangle_mean_bounds(
-    n: int,
-    p: float,
-    d: int,
-    q: float,
-    *,
-    calibration_d: int = 256,
-    calibration_reps: int = 2_000_000,
-    calibration_seed: int = 24181,
-) -> TriangleMeanBounds:
+def signed_triangle_mean_bounds(n: int, p: float, d: int, q: float) -> TriangleMeanBounds:
     """Bracket E[sum of signed triangles] for the soft sphere model.
 
     At p = 1/2 the constants are closed-form and two-sided.  Away from
@@ -320,9 +316,7 @@ def signed_triangle_mean_bounds(
             upper=scale * GAMMA_SCALED_UPPER,
             method="closed-form",
         )
-    constant, const_se = _measured_triangle_constant(
-        p, calibration_d, calibration_reps, calibration_seed
-    )
+    constant, const_se = _measured_triangle_constant(p)
     return TriangleMeanBounds(
         lower=scale * max(0.0, constant - 3.0 * const_se),
         upper=None,
@@ -547,15 +541,15 @@ def dotproduct_bound_predicates(
     )
 
 
-def dotproduct_scaled_stability(reports, k_se: float = 6.0) -> bool:
+def dotproduct_scaled_stability(reports) -> bool:
     """Whether all sqrt(d)-scaled triangle excesses agree pairwise
-    within k_se joint standard errors."""
+    within six joint standard errors."""
     reports = list(reports)
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):
             a, b = reports[i], reports[j]
             joint = math.hypot(a.scaled_excess_se, b.scaled_excess_se)
-            if abs(a.scaled_excess - b.scaled_excess) > k_se * joint:
+            if abs(a.scaled_excess - b.scaled_excess) > 6.0 * joint:
                 return False
     return True
 

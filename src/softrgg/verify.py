@@ -68,6 +68,10 @@ def _specfun_checks(seed: int):
         )
         return None if worst <= 1e-12 else f"roundtrip error {worst:.3g}"
 
+    def quantile_deep_tail():
+        rel = abs(std_normal_cdf(std_normal_quantile(1e-200)) / 1e-200 - 1.0)
+        return None if rel <= 1e-11 else f"relative roundtrip error {rel:.3g} at u=1e-200"
+
     def beta_roundtrip():
         worst = 0.0
         for a, b, x in ((0.5, 3.5, 0.2), (2.0, 2.0, 0.5), (0.5, 31.5, 0.01)):
@@ -89,6 +93,7 @@ def _specfun_checks(seed: int):
 
     return _run_checks("specfun", [
         ("normal-quantile-roundtrip", quantile_roundtrip),
+        ("normal-quantile-deep-tail", quantile_deep_tail),
         ("incomplete-beta-roundtrip", beta_roundtrip),
         ("digamma-recurrence", digamma_recurrence),
         ("adaptive-simpson-sine", sine_integral),

@@ -212,7 +212,7 @@ def test_verify_suite_passes(capsys):
     assert rc == 0 and err == ""
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS specfun.") for line in lines[:-1])
-    assert lines[-1] == "4/4 checks passed"
+    assert lines[-1] == "5/5 checks passed"
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):

@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softrgg.model import (
     AdjacencySample,
@@ -61,6 +63,44 @@ def test_sphere_threshold_monte_carlo_exceedance():
         freq = float(np.mean(s >= t))
         se = math.sqrt(p * (1.0 - p) / reps)
         assert abs(freq - p) <= 3.0 * se
+
+
+def test_sphere_exceed_prob_small_tail_closed_forms():
+    # d = 3: P = (1 - t)/2, so the tail at t = 1 - 2^-40 is exactly 2^-41;
+    # d = 2: P = arccos(t)/pi.  Both tails are far below the rounding of 1 - P.
+    t = 1.0 - 2.0**-40
+    assert abs(sphere_exceed_prob(t, 3) / 2.0**-41 - 1.0) <= 1e-12
+    assert sphere_exceed_prob(-t, 3) == 1.0 - sphere_exceed_prob(t, 3)
+    t = 1.0 - 1e-12
+    assert abs(sphere_exceed_prob(t, 2) / (math.acos(t) / math.pi) - 1.0) <= 1e-12
+
+
+def test_sphere_threshold_deep_tail_is_below_one():
+    # 1 - 2p rounds to 1 or loses digits at these p, so the upper tail must
+    # be solved directly; t = 1.0 would let no hard edge fire.
+    for p, d in product((1e-20, 1e-15, 1e-12), (16, 64, 1000)):
+        t = sphere_threshold(p, d)
+        assert t < 1.0
+        assert abs(sphere_exceed_prob(t, d) / p - 1.0) <= 1e-9
+    assert thresholds(1e-20, 64).t_p == -std_normal_quantile(1e-20)
+
+
+@given(
+    st.floats(min_value=-12.0, max_value=math.log10(0.5)),
+    st.booleans(),
+    st.floats(min_value=math.log10(2.0), max_value=6.0).map(lambda v: int(round(10.0**v))),
+)
+@settings(max_examples=200, deadline=None)
+def test_sphere_threshold_relative_tail_property(log_tail, upper, d):
+    # The smaller tail beyond t meets min(p, 1 - p) to a relative 1e-9, or
+    # as closely as the doubles next to t allow (at d = 2 or 3 and tiny p,
+    # t cannot be told from 1.0).
+    p = 1.0 - 10.0**log_tail if upper else 10.0**log_tail
+    small = min(p, 1.0 - p)
+    t = abs(sphere_threshold(p, d))
+    got = sphere_exceed_prob(t, d)
+    ulp = max(abs(sphere_exceed_prob(math.nextafter(t, side), d) - got) for side in (0.0, 2.0))
+    assert abs(got - small) <= 1e-9 * small + ulp
 
 
 def test_delta_pd_scaled_decay_is_bounded():

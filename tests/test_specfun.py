@@ -107,6 +107,32 @@ def test_normal_round_trip_property(u):
     assert abs(std_normal_cdf(std_normal_quantile(u)) - u) <= 1e-10
 
 
+def test_normal_quantile_deep_tail_is_relative():
+    # An absolute residual would accept any x far enough in the tail; the
+    # smaller tail must be met relatively down to the smallest normal double.
+    for u in (1e-200, 1e-240, 1e-280, 1e-300, 2.3e-308):
+        x = std_normal_quantile(u)
+        assert abs(std_normal_cdf(x) / u - 1.0) <= 1e-11
+
+
+def test_normal_quantile_refuses_subnormal():
+    for bad in (2.2e-308, 1e-310, 5e-324):
+        with pytest.raises(DomainError):
+            std_normal_quantile(bad)
+
+
+@given(st.floats(min_value=-300.0, max_value=math.log10(0.5)), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_normal_quantile_relative_tail_property(log_tail, upper):
+    tail = 10.0**log_tail
+    # 1 - u is exact for u > 1/2, but a tail below 1e-15 would round u to 1.
+    upper = upper and tail > 1e-15
+    u = 1.0 - tail if upper else tail
+    x = std_normal_quantile(u)
+    small = std_normal_cdf(-x) if upper else std_normal_cdf(x)
+    assert abs(small / min(u, 1.0 - u) - 1.0) <= 1e-11
+
+
 def test_log_gamma_frozen_points():
     assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-15
     assert log_gamma(1.0) == 0.0

@@ -117,6 +117,12 @@ def test_triangle_stat_on_complete_and_empty():
     assert signed_triangle_stat(empty, p).value == math.comb(n, 3) * (-0.125)
 
 
+def test_triangle_stat_below_three_vertices_is_zero():
+    for n, edges in ((1, []), (2, []), (2, [(0, 1)])):
+        g = AdjacencySample.from_edges(n, edges)
+        assert signed_triangle_stat(g, 0.3).value == 0.0
+
+
 def test_clique_stat_equals_enumeration_exactly():
     for g in random_graphs(40, 9, 0.4, master_seed=7000):
         for k in range(3, 9):

@@ -186,12 +186,11 @@ def test_triangle_mean_bounds_scaling_and_degenerate():
 
 
 def test_triangle_mean_bounds_measured():
-    kwargs = dict(calibration_d=64, calibration_reps=150_000, calibration_seed=9)
-    b = signed_triangle_mean_bounds(6, 0.3, 128, 0.5, **kwargs)
+    b = signed_triangle_mean_bounds(6, 0.3, 128, 0.5)
     assert b.method == "measured"
     assert b.upper is None
     assert b.lower > 0.0
-    again = signed_triangle_mean_bounds(6, 0.3, 128, 0.5, **kwargs)
+    again = signed_triangle_mean_bounds(6, 0.3, 128, 0.5)
     assert again == b
 
 
@@ -325,7 +324,7 @@ def test_dotproduct_predicates_and_stability():
         assert r.triangle_positive
         assert r.scaled_excess > 0.0
         reports.append(r)
-    assert dotproduct_scaled_stability(reports, k_se=6.0)
+    assert dotproduct_scaled_stability(reports)
 
 
 def test_dotproduct_wedge_exact_at_half():

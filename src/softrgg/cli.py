@@ -34,6 +34,7 @@ from .mc import (
 from .model import (
     MODES,
     ModelParams,
+    _require_unit_p,
     graph_from_dict,
     graph_to_dict,
     latent_to_dict,
@@ -112,6 +113,7 @@ def _cmd_sample(args) -> int:
 def _cmd_stat(args) -> int:
     sample, p_stored = graph_from_dict(_load_json(args.graph))
     p = p_stored if args.p is None else args.p
+    _require_unit_p(p, "--p")
     result = evaluate_statistic(sample, p, StatisticSpec(kind=args.kind, k=args.k))
     _emit({
         "kind": result.kind,

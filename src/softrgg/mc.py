@@ -32,7 +32,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -245,9 +245,12 @@ def estimate_statistic(
     vals = replicate_values(
         params, mode, statistic, reps, master_seed, tag=_TAG_ALT, workers=workers
     )
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(reps))
-    return mean, se
+    return _mean_se(vals)
+
+
+def _mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean of ``vals`` and its standard error."""
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def phase_label(n: int, d: int, q: float) -> str:
@@ -332,14 +335,15 @@ def detection_experiment(
         null_params, "er", statistic, eval_count, master_seed,
         tag=_TAG_NULL, workers=workers,
     )
+    stat_mean, stat_se = _mean_se(alt_vals)
     return ExperimentRecord(
         point=point,
         stat_kind=statistic.kind,
         k=statistic.k,
         reps=reps,
         seed=master_seed,
-        stat_mean=float(alt_vals.mean()),
-        stat_se=float(alt_vals.std(ddof=1) / math.sqrt(eval_count)),
+        stat_mean=stat_mean,
+        stat_se=stat_se,
         power=float(np.mean(alt_vals >= threshold)),
         type1=float(np.mean(null_vals >= threshold)),
         threshold=threshold,
@@ -425,13 +429,6 @@ def sweep(
         if sink is not None:
             sink.write(record.csv_row() + "\n")
     return tuple(records)
-
-
-def records_to_csv(records: Iterable[ExperimentRecord]) -> str:
-    """Full CSV document (header plus one row per record)."""
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
-    return "\n".join(lines) + "\n"
 
 
 def variance_profile(

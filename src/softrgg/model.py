@@ -46,7 +46,6 @@ from .specfun import (
     log_gamma,
     reg_inc_beta,
     reg_inc_beta_inv,
-    std_normal_cdf,
     std_normal_quantile,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "Thresholds",
     "LatentMatrix",
     "AdjacencySample",
-    "ConnectionFunction",
     "substream",
     "sphere_threshold",
     "gauss_threshold",
@@ -65,7 +63,6 @@ __all__ = [
     "gauss_exceed_prob",
     "thresholds",
     "sample_latent",
-    "connection_function",
     "sample_graph",
     "pattern_class_histogram",
     "edge_marginal_estimate",
@@ -130,18 +127,6 @@ class Thresholds:
 
 
 @dataclass(frozen=True)
-class ConnectionFunction:
-    """Edge probability as a function of the latent inner product."""
-
-    p: float
-    q: float
-    threshold: float
-
-    def __call__(self, x):
-        return (1.0 - self.q) * self.p + self.q * (np.asarray(x, float) >= self.threshold)
-
-
-@dataclass(frozen=True)
 class LatentMatrix:
     """n latent positions as rows; kind is 'sphere' (unit rows) or 'gauss'."""
 
@@ -196,6 +181,8 @@ class AdjacencySample:
 
     def __init__(self, n, bits, mode, seed):
         self.n = int(n)
+        if self.n < 0:
+            raise DomainError(f"a graph needs n >= 0 vertices, got {self.n}")
         self.bits = np.ascontiguousarray(bits, dtype=np.uint8)
         self.mode = str(mode)
         self.seed = int(seed)
@@ -259,6 +246,12 @@ class AdjacencySample:
             f"AdjacencySample(n={self.n}, edges={self.edge_count()}, "
             f"mode={self.mode!r}, seed={self.seed})"
         )
+
+
+def _require_unit_p(p, what: str) -> None:
+    """Reject a density outside [0, 1], NaN included."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"{what} out of range: {p!r}")
 
 
 def _require_open_p(p):
@@ -358,13 +351,6 @@ def thresholds(p: float, d: int) -> Thresholds:
     _require_open_p(p)
     t_p = -std_normal_quantile(p)
     return Thresholds(p=p, d=d, t_p=t_p, t_pd=sphere_threshold(p, d))
-
-
-def connection_function(p: float, q: float, threshold: float) -> ConnectionFunction:
-    _require_open_p(p)
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    return ConnectionFunction(p=p, q=q, threshold=threshold)
 
 
 def sample_latent(n: int, d: int, kind: str, rng: np.random.Generator) -> LatentMatrix:
@@ -551,8 +537,7 @@ def graph_from_dict(doc: dict) -> tuple[AdjacencySample, float]:
         edges = doc["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed graph document: {exc}") from exc
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"graph document p out of range: {p!r}")
+    _require_unit_p(p, "graph document p")
     sample = AdjacencySample.from_edges(n, edges, mode=mode, seed=seed)
     return sample, p
 

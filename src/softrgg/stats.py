@@ -53,11 +53,9 @@ __all__ = [
     "signed_triangle_stat",
     "signed_clique_stat",
     "signed_cycle_stat",
-    "plain_clique_count",
     "clique_edge_histogram",
     "cycle_edge_histogram",
     "canonical_cycles",
-    "er_triangle_variance",
     "er_cycle_variance",
     "subgraph_probability_estimate",
     "signed_pattern_estimate",
@@ -251,12 +249,6 @@ def signed_clique_stat(sample: AdjacencySample, p: float, k: int) -> StatisticVa
     )
 
 
-def plain_clique_count(sample: AdjacencySample, k: int) -> int:
-    """Number of complete k-subsets (k-cliques)."""
-    hist = clique_edge_histogram(sample, k)
-    return int(hist[-1])
-
-
 @lru_cache(maxsize=16)
 def canonical_cycles(k: int):
     """The (k-1)!/2 Hamilton cycles of a k-set as position-pair tuples.
@@ -333,11 +325,6 @@ def signed_cycle_stat(sample: AdjacencySample, p: float, k: int) -> StatisticVal
     return StatisticValue(
         kind="signed-cycle", k=k, value=value, method="cycle-histogram"
     )
-
-
-def er_triangle_variance(n: int, p: float) -> float:
-    """Var[tau_3] under G(n, p): (n choose 3) p^3 (1-p)^3."""
-    return math.comb(n, 3) * (p * (1.0 - p)) ** 3
 
 
 def er_cycle_variance(n: int, p: float, k: int) -> float:

@@ -1,11 +1,11 @@
 """Closed-form and quadrature-backed quantities for the model family.
 
-Everything here is deterministic given its arguments: angle densities on
-the sphere, the moments gamma and eta that govern signed-statistic means
-at p = 1/2, total-variation and KL bound terms, the phase-diagram
-classifier, and Wishart log-determinant identities.  Monte Carlo enters
-only where a constant has no closed form, and then the return value
-carries its standard error.
+Everything here is deterministic given its arguments: the normalization
+zeta of the angle density on the sphere, the moments gamma and eta that
+govern signed-statistic means at p = 1/2, total-variation and KL bound
+terms, the phase-diagram classifier, and Wishart log-determinant
+identities.  Monte Carlo enters only where a constant has no closed form,
+and then the return value carries its standard error.
 
 Angle conventions.  For two independent uniform points on S^{d-1} the
 angle Theta between them has density sin^{d-2}(theta)/zeta on [0, pi].
@@ -40,7 +40,6 @@ from .specfun import (
 from .stats import QUAD_PATH_PATTERN, TRIANGLE_PATTERN, signed_pattern_estimate
 
 __all__ = [
-    "AngleDensity",
     "BoundReport",
     "DotProductReport",
     "HalfMomentTable",
@@ -65,7 +64,6 @@ __all__ = [
     "phase_classify",
     "wishart_logdet_mean",
     "logdet_deficit_bound",
-    "chi_square_log_mean",
     "dotproduct_bound_predicates",
     "dotproduct_scaled_stability",
     "wedge_conditional_square_estimate",
@@ -95,37 +93,6 @@ def zeta_d(d: int) -> float:
     return math.exp(
         0.5 * math.log(math.pi) + log_gamma((d - 1) / 2.0) - log_gamma(d / 2.0)
     )
-
-
-class AngleDensity:
-    """Densities tied to a uniform point on S^{d-1}.
-
-    h(theta): density of the angle between two independent uniform
-    points, supported on [0, pi].  g(phi): density of the angle between
-    one uniform point and a fixed 2-dimensional subspace, supported on
-    [0, pi/2]; undefined at d = 2 where the point lies in every 2-plane
-    and the angle degenerates to a point mass.
-    """
-
-    def __init__(self, d: int):
-        if d < 2:
-            raise DomainError(f"angle density needs d >= 2, got {d}")
-        self.d = d
-        self.zeta = zeta_d(d)
-
-    def h(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        if np.any((theta < 0.0) | (theta > math.pi)):
-            raise DomainError("h is supported on [0, pi]")
-        return np.sin(theta) ** (self.d - 2) / self.zeta
-
-    def g(self, phi):
-        if self.d < 3:
-            raise DomainError("projection angle density needs d >= 3")
-        phi = np.asarray(phi, dtype=np.float64)
-        if np.any((phi < 0.0) | (phi > math.pi / 2.0)):
-            raise DomainError("g is supported on [0, pi/2]")
-        return (self.d - 2) * np.sin(phi) ** (self.d - 3) * np.cos(phi)
 
 
 def _cos_power(u, d: int):
@@ -474,13 +441,6 @@ def logdet_deficit_bound(n: int, d: int) -> float:
     if d < 2 * n:
         raise DomainError(f"deficit bound needs d >= 2n, got n={n}, d={d}")
     return 4.0 * n / d + n**2 / d
-
-
-def chi_square_log_mean(k: float) -> float:
-    """E[log X] for X ~ chi-square(k): digamma(k/2) + log 2."""
-    if k <= 0.0:
-        raise DomainError(f"chi-square needs k > 0, got {k}")
-    return digamma(k / 2.0) + math.log(2.0)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,6 @@ from .specfun import (
 
 DEFAULT_SEED = 20240915
 
-SUITE_NAMES = ("specfun", "model", "stats", "theory", "mc")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -292,6 +290,7 @@ _SUITE_RUNNERS = {
     "theory": _theory_checks,
     "mc": _mc_checks,
 }
+SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> tuple[CheckResult, ...]:

@@ -114,6 +114,8 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     big_graph.write_text(json.dumps({"n": 100, "p": 0.5, "edges": []}))
     tiny_graph = tmp_path / "n3.json"
     tiny_graph.write_text(json.dumps({"n": 3, "p": 0.5, "edges": [[0, 1]]}))
+    negative_graph = tmp_path / "neg.json"
+    negative_graph.write_text(json.dumps({"n": -1, "p": 0.3, "edges": []}))
     cases = (
         ("stat", "--graph", str(tmp_path / "missing.json")),
         ("theory", "--quantity", "gamma"),
@@ -128,11 +130,15 @@ def test_validation_errors_exit_one(tmp_path, capsys):
         ("stat", "--graph", str(big_graph), "--kind", "clique", "--k", "5"),
         ("stat", "--graph", str(tiny_graph), "--kind", "cycle", "--k", "5"),
         ("stat", "--graph", str(tiny_graph), "--kind", "triangle", "--k", "7"),
+        ("stat", "--graph", str(tiny_graph), "--p", "nan"),
+        ("stat", "--graph", str(tiny_graph), "--p", "2"),
+        ("stat", "--graph", str(negative_graph)),
+        ("stat", "--graph", str(negative_graph), "--kind", "clique"),
         ("nonsense",),
     )
     for argv in cases:
-        rc, _, err = run_cli(capsys, *argv)
-        assert rc == 1, argv
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1 and out == "", argv
         assert err.startswith("error:") and err.strip().count("\n") == 0, argv
 
 

@@ -17,7 +17,6 @@ from softrgg.mc import (
     estimate_statistic,
     phase_label,
     point_seed,
-    records_to_csv,
     replicate_values,
     sweep,
     variance_profile,
@@ -219,9 +218,6 @@ def test_csv_shape_and_float_format():
     # 17 significant digits round-trip exactly
     assert fields[1] == "0.20000000000000001"
     assert float(fields[1]) == 0.2
-    text = records_to_csv([rec])
-    assert text.splitlines()[0] == CSV_HEADER
-    assert text.endswith(row + "\n")
 
 
 def test_config_validation():

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from softrgg.model import (
     AdjacencySample,
     ModelParams,
-    connection_function,
     edge_marginal_estimate,
     gauss_exceed_prob,
     gauss_threshold,
@@ -159,15 +158,6 @@ def test_sample_latent_unit_norms_and_beta_law():
     grid = np.arange(1, n_pairs + 1) / n_pairs
     ks = max(np.max(np.abs(cdf - grid)), np.max(np.abs(cdf - grid + 1.0 / n_pairs)))
     assert ks <= 1.628 / math.sqrt(n_pairs)
-
-
-def test_connection_function_interpolates():
-    fn = connection_function(0.3, 0.6, 0.2)
-    assert fn(0.5) == pytest.approx((1 - 0.6) * 0.3 + 0.6)
-    assert fn(-0.5) == pytest.approx((1 - 0.6) * 0.3)
-    vals = fn(np.linspace(-1, 1, 101))
-    assert np.all((0.0 <= vals) & (vals <= 1.0))
-    assert fn(0.2) == pytest.approx((1 - 0.6) * 0.3 + 0.6)  # boundary counts as hit
 
 
 def test_sampler_determinism_and_seed_sensitivity():
@@ -341,3 +331,8 @@ def test_adjacency_sample_guards():
         AdjacencySample.from_edges(4, [(0, 4)])
     with pytest.raises(DomainError):
         AdjacencySample(4, np.zeros(99, dtype=np.uint8), "er", 0)
+    # n(n - 1)/2 >= 0 for every integer n, so the buffer size alone lets n < 0 in.
+    with pytest.raises(DomainError):
+        AdjacencySample(-1, np.zeros(1, dtype=np.uint8), "er", 0)
+    with pytest.raises(DomainError):
+        AdjacencySample.from_edges(-1, [])

@@ -30,8 +30,6 @@ from softrgg.stats import (
     clique_edge_histogram,
     cycle_edge_histogram,
     er_cycle_variance,
-    er_triangle_variance,
-    plain_clique_count,
     signed_clique_stat,
     signed_cycle_stat,
     signed_pattern_estimate,
@@ -216,12 +214,6 @@ def test_unsupported_orders_raise():
             signed_cycle_stat(g, 0.5, k)
 
 
-def test_plain_clique_count():
-    g = AdjacencySample.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert plain_clique_count(g, 3) == 1
-    assert plain_clique_count(g, 4) == 0
-
-
 def test_er_triangle_moments_match_theory():
     # Mean 0 within 3 SE and variance within 5% at (n, p) = (10, 0.3).
     n, p, reps = 10, 0.3, 100_000
@@ -234,7 +226,7 @@ def test_er_triangle_moments_match_theory():
         total_sq += v * v
     mean = total / reps
     var = total_sq / reps - mean * mean
-    expected_var = er_triangle_variance(n, p)
+    expected_var = er_cycle_variance(n, p, 3)
     assert abs(mean) <= 3.0 * math.sqrt(var / reps)
     assert abs(var - expected_var) <= 0.05 * expected_var
 
@@ -256,7 +248,7 @@ def test_er_cycle_variance_matches_theory():
 
 
 def test_er_moment_formulas_frozen():
-    assert er_triangle_variance(10, 0.3) == pytest.approx(120 * 0.21**3)
+    assert er_cycle_variance(10, 0.3, 3) == pytest.approx(120 * 0.21**3)
     assert er_cycle_variance(12, 0.35, 4) == pytest.approx(
         math.perm(12, 4) / 8.0 * (0.35 * 0.65) ** 4
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from softrgg.model import sample_latent, substream
-from softrgg.specfun import DomainError, QuadratureSpec, integrate
+from softrgg.specfun import DomainError, QuadratureSpec, digamma, integrate
 from softrgg.stats import (
     CHERRY_PATTERN,
     FOUR_CYCLE_PATTERN,
@@ -25,10 +25,8 @@ from softrgg.theory import (
     ETA_SCALED_UPPER,
     GAMMA_SCALED_LOWER,
     GAMMA_SCALED_UPPER,
-    AngleDensity,
     PhasePoint,
     SingularWishartError,
-    chi_square_log_mean,
     dotproduct_bound_predicates,
     dotproduct_scaled_stability,
     eta_d,
@@ -68,28 +66,17 @@ def test_zeta_closed_forms():
     assert zeta_d(2) == pytest.approx(math.pi, abs=1e-12)
     assert zeta_d(3) == pytest.approx(2.0, abs=1e-12)
     assert zeta_d(4) == pytest.approx(math.pi / 2.0, abs=1e-12)
+    with pytest.raises(DomainError):
+        zeta_d(1)
 
 
 def test_angle_densities_integrate_to_one():
+    # The angle between two uniform points has density sin^{d-2} / zeta_d.
     for d in range(2, 129):
-        dens = AngleDensity(d)
-        total = integrate(dens.h, QuadratureSpec(0.0, math.pi, abs_tol=1e-10))
+        zeta = zeta_d(d)
+        total = integrate(lambda t: np.sin(t) ** (d - 2) / zeta,
+                          QuadratureSpec(0.0, math.pi, abs_tol=1e-10))
         assert abs(total - 1.0) <= 1e-9
-    for d in range(3, 129):
-        dens = AngleDensity(d)
-        total = integrate(dens.g, QuadratureSpec(0.0, math.pi / 2.0, abs_tol=1e-10))
-        assert abs(total - 1.0) <= 1e-9
-
-
-def test_angle_density_domain_errors():
-    with pytest.raises(DomainError):
-        AngleDensity(1)
-    with pytest.raises(DomainError):
-        AngleDensity(2).g(0.3)
-    with pytest.raises(DomainError):
-        AngleDensity(5).h(-0.1)
-    with pytest.raises(DomainError):
-        AngleDensity(5).g(2.0)
 
 
 def test_gamma_eta_d2_closed_forms():
@@ -277,7 +264,8 @@ def test_wishart_logdet_frozen_and_chi2():
                                           abs=1e-12)
     for d in (4, 40, 400):
         mean_log = wishart_logdet_mean(1, d).logdet_mean
-        assert mean_log == pytest.approx(chi_square_log_mean(d), abs=1e-12)
+        # n = 1: the log-mean of one chi-square(d), digamma(d/2) + log 2.
+        assert mean_log == pytest.approx(digamma(d / 2) + math.log(2), abs=1e-12)
         assert mean_log >= math.log(d) - 2.0 / d
 
 

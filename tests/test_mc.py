@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softrgg.mc import (
     CSV_HEADER,
@@ -12,6 +14,8 @@ from softrgg.mc import (
     STATUS_DEGENERATE,
     STATUS_FAILED,
     STATUS_OK,
+    STAT_KINDS,
+    TEST_RULES,
     StatisticSpec,
     detection_experiment,
     estimate_statistic,
@@ -21,8 +25,9 @@ from softrgg.mc import (
     sweep,
     variance_profile,
 )
-from softrgg.model import ModelParams
+from softrgg.model import MODES, ModelParams
 from softrgg.specfun import DomainError
+from softrgg.stats import MAX_ORDER
 from softrgg.theory import GAMMA_SCALED_LOWER, GAMMA_SCALED_UPPER
 
 
@@ -38,6 +43,51 @@ def test_replicate_values_worker_count_invariance():
     pooled = replicate_values(params, "soft-sphere", spec, 300, 2024, workers=3)
     assert serial.shape == (300,)
     assert np.array_equal(serial, pooled)
+
+
+def row_key(record: ExperimentRecord) -> tuple[str, str]:
+    """A record's CSV row without the measured wallclock_ms, and its status."""
+    return record.csv_row().rsplit(",", 1)[0], record.status
+
+
+@st.composite
+def small_experiments(draw):
+    n = draw(st.integers(5, 10))
+    kind = draw(st.sampled_from(STAT_KINDS))
+    k = 3 if kind == "triangle" else draw(st.integers(3, min(n, MAX_ORDER)))
+    points = tuple(
+        GridPoint(
+            n=n,
+            p=draw(st.floats(0.05, 0.95)),
+            d=draw(st.integers(2, 64)),
+            q=draw(st.floats(0.0, 1.0)),
+            mode=draw(st.sampled_from(MODES)),
+        )
+        for _ in range(2)
+    )
+    return points, StatisticSpec(kind, k), draw(st.sampled_from(TEST_RULES))
+
+
+# Every batch of reps // 2 or reps - reps // 2 replicates spans at least two
+# chunks, so the 2-worker runs go through the pool.
+@given(
+    case=small_experiments(),
+    reps=st.integers(130, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=10, deadline=None)
+def test_records_do_not_depend_on_worker_count(case, reps, seed):
+    points, spec, rule = case
+    one, two = (
+        detection_experiment(points[0], reps, seed, statistic=spec, test=rule, workers=w)
+        for w in (1, 2)
+    )
+    assert row_key(one) == row_key(two)
+    one, two = (
+        sweep(ExperimentConfig(points, reps, seed, spec, rule, workers=w))
+        for w in (1, 2)
+    )
+    assert [row_key(r) for r in one] == [row_key(r) for r in two]
 
 
 def test_replicate_values_distinct_tags_differ():

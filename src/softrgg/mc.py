@@ -6,6 +6,15 @@ fixed-size chunks; chunk ``c`` of a batch draws its graph seeds from
 bitwise identical no matter how many worker processes evaluate the chunks.
 Chunk results are merged in chunk order for the same reason.
 
+At ``workers`` > 1 there is one worker pool per ``sweep``, per standalone
+``detection_experiment`` and per ``variance_profile`` call, reused by every
+batch inside it.  Workers are forked from a ``forkserver`` that imported
+numpy with one BLAS thread, so ``workers`` processes share the cores
+instead of each running a multi-threaded BLAS; this process keeps its own
+BLAS threads, so ``workers`` = 1 runs in-process exactly as before.  Each
+worker imports the calling script as ``__mp_main__``, so a script that asks
+for more than one worker needs an ``if __name__ == "__main__":`` guard.
+
 A detection experiment compares the configured signed statistic on the
 geometric alternative against the Erdos-Renyi null with the same (n, p).
 Two threshold rules are offered:
@@ -28,9 +37,14 @@ bytes are reproducible only up to that final column.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import multiprocessing.forkserver
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -73,6 +87,9 @@ STATUS_OK = "ok"
 STATUS_INCONCLUSIVE = "inconclusive"
 STATUS_DEGENERATE = "degenerate"
 STATUS_FAILED = "failed"
+
+# Set to 1 in the environment of the forkserver that workers are forked from.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -198,6 +215,38 @@ def _chunk_task(args) -> np.ndarray:
     return _chunk_values(*args)
 
 
+def _open_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes whose numpy runs one BLAS thread.
+
+    Workers fork from a server that preloads this module.  The server is
+    started (once per process, or again if it died) with the BLAS thread
+    variables set to 1 for that start only: this process's BLAS is already
+    loaded and keeps its threads.
+    """
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["softrgg.mc"])
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        multiprocessing.forkserver.ensure_running()
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+
+
+def _pool_scope(workers: int, pool: ProcessPoolExecutor | None):
+    """Context yielding the pool to run batches on: ``pool`` when a caller
+    passed one down, else a new pool closed at the end of the block when
+    ``workers`` > 1, else None (run in this process)."""
+    if pool is None and workers > 1:
+        return _open_pool(workers)
+    return contextlib.nullcontext(pool)
+
+
 def replicate_values(
     params: ModelParams,
     mode: str,
@@ -207,11 +256,14 @@ def replicate_values(
     *,
     tag: int = _TAG_ALT,
     workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
 ) -> np.ndarray:
     """Statistic values over ``reps`` independent graphs, in replicate order.
 
     The result depends on (params, mode, statistic, master_seed, tag) only;
-    ``workers`` changes wallclock, never bits.
+    ``workers`` changes wallclock, never bits.  ``pool`` is the open pool of
+    the experiment or sweep this batch belongs to; without it, ``workers``
+    > 1 opens a pool for this call alone.
     """
     if reps < 1:
         raise DomainError("need at least 1 replicate")
@@ -222,10 +274,10 @@ def replicate_values(
         (params, mode, statistic, master_seed, tag, ci, min(CHUNK_SIZE, reps - s))
         for ci, s in enumerate(starts)
     ]
-    if workers == 1 or len(tasks) == 1:
+    if len(tasks) == 1 or (workers == 1 and pool is None):
         parts = [_chunk_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool_scope(workers, pool) as pool:
             parts = list(pool.map(_chunk_task, tasks))
     return np.concatenate(parts)
 
@@ -277,6 +329,7 @@ def detection_experiment(
     statistic: StatisticSpec = StatisticSpec(),
     test: str = "half-mean-threshold",
     workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
 ) -> ExperimentRecord:
     """One power/type-1 experiment at a single parameter point.
 
@@ -290,6 +343,9 @@ def detection_experiment(
     At p = 0 or p = 1 every centered edge weight vanishes, the statistic is
     identically zero, and the record is returned immediately with status
     ``degenerate`` and zero rates.
+
+    Every batch runs on ``pool`` (a sweep's) when given, else on one pool
+    opened for this experiment when ``workers`` > 1.
     """
     if reps < 100:
         raise DomainError("detection needs reps >= 100")
@@ -311,30 +367,31 @@ def detection_experiment(
     eval_count = reps - pilot_count
     status = STATUS_OK
 
-    if test == "half-mean-threshold":
-        pilot = replicate_values(
-            params, point.mode, statistic, pilot_count, master_seed,
-            tag=_TAG_PILOT, workers=workers,
-        )
-        delta = float(pilot.mean())
-        threshold = delta / 2.0
-        if delta <= 0.0:
-            status = STATUS_INCONCLUSIVE
-    else:
-        calib = replicate_values(
-            null_params, "er", statistic, pilot_count, master_seed,
-            tag=_TAG_CALIBRATE, workers=workers,
-        )
-        threshold = float(np.quantile(calib, 0.95, method="higher"))
+    with _pool_scope(workers, pool) as pool:
+        if test == "half-mean-threshold":
+            pilot = replicate_values(
+                params, point.mode, statistic, pilot_count, master_seed,
+                tag=_TAG_PILOT, workers=workers, pool=pool,
+            )
+            delta = float(pilot.mean())
+            threshold = delta / 2.0
+            if delta <= 0.0:
+                status = STATUS_INCONCLUSIVE
+        else:
+            calib = replicate_values(
+                null_params, "er", statistic, pilot_count, master_seed,
+                tag=_TAG_CALIBRATE, workers=workers, pool=pool,
+            )
+            threshold = float(np.quantile(calib, 0.95, method="higher"))
 
-    alt_vals = replicate_values(
-        params, point.mode, statistic, eval_count, master_seed,
-        tag=_TAG_ALT, workers=workers,
-    )
-    null_vals = replicate_values(
-        null_params, "er", statistic, eval_count, master_seed,
-        tag=_TAG_NULL, workers=workers,
-    )
+        alt_vals = replicate_values(
+            params, point.mode, statistic, eval_count, master_seed,
+            tag=_TAG_ALT, workers=workers, pool=pool,
+        )
+        null_vals = replicate_values(
+            null_params, "er", statistic, eval_count, master_seed,
+            tag=_TAG_NULL, workers=workers, pool=pool,
+        )
     stat_mean, stat_se = _mean_se(alt_vals)
     return ExperimentRecord(
         point=point,
@@ -402,32 +459,44 @@ def sweep(
     (same config, grid sliced to the remaining points, ``start_index`` set
     to the first remaining absolute index) appends rows that match the
     original run bit for bit, wallclock aside.  A grid point that raises is
-    recorded as ``failed`` with NaN numerics and the sweep continues.
+    recorded as ``failed`` with NaN numerics and the sweep continues.  Every
+    point runs on one worker pool; a point that breaks it (a worker died)
+    is recorded as ``failed`` and the next point gets a fresh pool.
     """
     if start_index < 0:
         raise DomainError("start_index must be >= 0")
     if sink is not None and start_index == 0:
         sink.write(CSV_HEADER + "\n")
     records = []
-    for offset, point in enumerate(config.grid):
-        seed = point_seed(config.master_seed, start_index + offset)
-        t0 = time.perf_counter()
-        try:
-            record = detection_experiment(
-                point,
-                config.reps,
-                seed,
-                statistic=config.statistic,
-                test=config.test,
-                workers=config.workers,
-            )
-        except Exception:
-            record = _constant_record(
-                point, config.statistic, config.reps, seed, t0, float("nan"), STATUS_FAILED
-            )
-        records.append(record)
-        if sink is not None:
-            sink.write(record.csv_row() + "\n")
+    pool = _open_pool(config.workers) if config.workers > 1 else None
+    try:
+        for offset, point in enumerate(config.grid):
+            seed = point_seed(config.master_seed, start_index + offset)
+            t0 = time.perf_counter()
+            try:
+                record = detection_experiment(
+                    point,
+                    config.reps,
+                    seed,
+                    statistic=config.statistic,
+                    test=config.test,
+                    workers=config.workers,
+                    pool=pool,
+                )
+            except Exception as exc:
+                record = _constant_record(
+                    point, config.statistic, config.reps, seed, t0, float("nan"),
+                    STATUS_FAILED,
+                )
+                if isinstance(exc, BrokenProcessPool):
+                    pool.shutdown()
+                    pool = _open_pool(config.workers)
+            records.append(record)
+            if sink is not None:
+                sink.write(record.csv_row() + "\n")
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return tuple(records)
 
 
@@ -447,13 +516,14 @@ def variance_profile(
     n^3 + n^4 q^4 / d divided out.  Returns (d, variance, scaled) triples.
     """
     out = []
-    for i, d in enumerate(point_dims):
-        params = ModelParams(n=n, p=p, d=d, q=q)
-        vals = replicate_values(
-            params, mode, statistic, reps, master_seed, tag=71 + 2 * i,
-            workers=workers,
-        )
-        var = float(vals.var(ddof=1))
-        scale = n**3 + n**4 * q**4 / d
-        out.append((d, var, var / scale))
+    with _pool_scope(workers, None) as pool:
+        for i, d in enumerate(point_dims):
+            params = ModelParams(n=n, p=p, d=d, q=q)
+            vals = replicate_values(
+                params, mode, statistic, reps, master_seed, tag=71 + 2 * i,
+                workers=workers, pool=pool,
+            )
+            var = float(vals.var(ddof=1))
+            scale = n**3 + n**4 * q**4 / d
+            out.append((d, var, var / scale))
     return tuple(out)

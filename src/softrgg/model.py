@@ -203,7 +203,7 @@ class AdjacencySample:
     def from_edges(cls, n, edges, mode="er", seed=0):
         present = np.zeros(n * (n - 1) // 2, dtype=bool)
         for i, j in edges:
-            i, j = int(i), int(j)
+            i, j = _require_int(i, "vertex label"), _require_int(j, "vertex label")
             if not 0 <= i < j < n:
                 raise DomainError(f"edge ({i}, {j}) invalid for n={n}")
             k = pair_index(i, j, n)
@@ -252,6 +252,16 @@ def _require_unit_p(p, what: str) -> None:
     """Reject a density outside [0, 1], NaN included."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"{what} out of range: {p!r}")
+
+
+def _require_int(value, what: str) -> int:
+    """``value`` as an int.  A bool, a string or a number with a fractional
+    part is refused, not truncated; an integral float is accepted."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_open_p(p):
@@ -530,10 +540,10 @@ def graph_to_dict(sample: AdjacencySample, p: float) -> dict:
 
 def graph_from_dict(doc: dict) -> tuple[AdjacencySample, float]:
     try:
-        n = int(doc["n"])
+        n = _require_int(doc["n"], "graph document n")
         p = float(doc["p"])
         mode = str(doc.get("mode", "er"))
-        seed = int(doc.get("seed", 0))
+        seed = _require_int(doc.get("seed", 0), "graph document seed")
         edges = doc["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed graph document: {exc}") from exc
@@ -555,7 +565,8 @@ def latent_from_dict(doc: dict) -> LatentMatrix:
     try:
         kind = str(doc["kind"])
         rows = np.asarray(doc["rows"], dtype=float)
-        n, d = int(doc["n"]), int(doc["d"])
+        n = _require_int(doc["n"], "latent document n")
+        d = _require_int(doc["d"], "latent document d")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed latent document: {exc}") from exc
     if rows.shape != (n, d):

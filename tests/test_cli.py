@@ -116,6 +116,16 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     tiny_graph.write_text(json.dumps({"n": 3, "p": 0.5, "edges": [[0, 1]]}))
     negative_graph = tmp_path / "neg.json"
     negative_graph.write_text(json.dumps({"n": -1, "p": 0.3, "edges": []}))
+    fractional = {"n": 3.9, "p": 0.5, "seed": 2.7, "edges": [[0, 2.9], [True, 2]]}
+    fractional_graphs = []
+    for i, doc in enumerate((
+        fractional,
+        {**fractional, "n": 3},
+        {**fractional, "n": 3, "seed": 2, "edges": [[0, 2.9]]},
+        {**fractional, "n": 3, "seed": 2, "edges": [[True, 2]]},
+    )):
+        fractional_graphs.append(tmp_path / f"fractional{i}.json")
+        fractional_graphs[-1].write_text(json.dumps(doc))
     cases = (
         ("stat", "--graph", str(tmp_path / "missing.json")),
         ("theory", "--quantity", "gamma"),
@@ -134,6 +144,7 @@ def test_validation_errors_exit_one(tmp_path, capsys):
         ("stat", "--graph", str(tiny_graph), "--p", "2"),
         ("stat", "--graph", str(negative_graph)),
         ("stat", "--graph", str(negative_graph), "--kind", "clique"),
+        *(("stat", "--graph", str(path)) for path in fractional_graphs),
         ("nonsense",),
     )
     for argv in cases:

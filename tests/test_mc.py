@@ -1,11 +1,14 @@
 import io
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softrgg import mc
 from softrgg.mc import (
     CSV_HEADER,
     ExperimentConfig,
@@ -88,6 +91,52 @@ def test_records_do_not_depend_on_worker_count(case, reps, seed):
         for w in (1, 2)
     )
     assert [row_key(r) for r in one] == [row_key(r) for r in two]
+
+
+def counting_pools(monkeypatch, broken_first=False):
+    """Patch mc's pool class; returns the list of pools built.  With
+    ``broken_first`` the first pool acts as one whose worker died."""
+    built = []
+
+    class CountingPool(mc.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+        def map(self, *args, **kwargs):
+            if broken_first and self is built[0]:
+                raise BrokenProcessPool("a worker died")
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+def test_sweep_opens_one_pool_with_single_threaded_blas(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    environ = dict(os.environ)
+    built = counting_pools(monkeypatch)
+    grid = tuple(GridPoint(n=8, p=0.5, d=4, q=q, mode="soft-sphere") for q in (0.2, 0.5, 0.8))
+    recs = sweep(ExperimentConfig(grid, reps=260, master_seed=3, workers=2))
+    assert [r.status for r in recs] == [STATUS_OK] * 3
+    assert len(built) == 1
+    assert dict(os.environ) == environ
+    with mc._open_pool(2) as pool:
+        assert pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result() == "1"
+        assert pool.submit(os.getenv, "OMP_NUM_THREADS").result() == "1"
+    assert dict(os.environ) == environ
+
+
+def test_broken_pool_fails_only_its_point(monkeypatch):
+    grid = tuple(GridPoint(n=8, p=0.5, d=4, q=q, mode="soft-sphere") for q in (0.3, 0.6))
+    config = ExperimentConfig(grid, reps=260, master_seed=8, workers=2)
+    single = sweep(ExperimentConfig(grid, reps=260, master_seed=8, workers=1))
+    built = counting_pools(monkeypatch, broken_first=True)
+    recs = sweep(config)
+    assert len(built) == 2
+    assert recs[0].status == STATUS_FAILED and math.isnan(recs[0].power)
+    assert row_key(recs[1]) == row_key(single[1])
 
 
 def test_replicate_values_distinct_tags_differ():

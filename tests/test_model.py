@@ -316,6 +316,19 @@ def test_graph_json_round_trip_and_validation():
         graph_from_dict({"n": 3, "p": 1.5, "edges": []})
     with pytest.raises(DomainError):
         graph_from_dict({"n": 3, "p": 0.5, "edges": [[0, 1], [0, 1]]})
+    # Integral floats load; fractional numbers and booleans are not truncated.
+    back, _ = graph_from_dict({"n": 3.0, "p": 0.5, "seed": 2.0, "edges": [[0, 2.0]]})
+    assert back == AdjacencySample.from_edges(3, [(0, 2)], seed=2)
+    for doc in (
+        {"n": 3.9, "p": 0.5, "edges": []},
+        {"n": True, "p": 0.5, "edges": []},
+        {"n": 3, "p": 0.5, "seed": 2.7, "edges": []},
+        {"n": 3, "p": 0.5, "seed": False, "edges": []},
+        {"n": 3, "p": 0.5, "edges": [[0, 2.9]]},
+        {"n": 3, "p": 0.5, "edges": [[True, 2]]},
+    ):
+        with pytest.raises(DomainError):
+            graph_from_dict(doc)
 
 
 def test_latent_round_trip():
@@ -324,6 +337,10 @@ def test_latent_round_trip():
     back = latent_from_dict(latent_to_dict(lat))
     assert back.kind == lat.kind
     assert np.array_equal(back.data, lat.data)
+    doc = latent_to_dict(lat)
+    for key, bad in (("n", 5.5), ("d", True)):
+        with pytest.raises(DomainError):
+            latent_from_dict({**doc, key: bad})
 
 
 def test_adjacency_sample_guards():
@@ -336,3 +353,8 @@ def test_adjacency_sample_guards():
         AdjacencySample(-1, np.zeros(1, dtype=np.uint8), "er", 0)
     with pytest.raises(DomainError):
         AdjacencySample.from_edges(-1, [])
+    # Vertex labels are refused, not truncated, unless integral.
+    for edge in ((0, 2.9), (True, 2), (np.bool_(True), 2), ("0", 2), (0.5, 2)):
+        with pytest.raises(DomainError):
+            AdjacencySample.from_edges(4, [edge])
+    assert AdjacencySample.from_edges(4, [(np.int64(1), 2.0)]).edges() == [(1, 2)]

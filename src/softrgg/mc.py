@@ -6,14 +6,14 @@ fixed-size chunks; chunk ``c`` of a batch draws its graph seeds from
 bitwise identical no matter how many worker processes evaluate the chunks.
 Chunk results are merged in chunk order for the same reason.
 
-At ``workers`` > 1 there is one worker pool per ``sweep``, per standalone
-``detection_experiment`` and per ``variance_profile`` call, reused by every
-batch inside it.  Workers are forked from a ``forkserver`` that imported
-numpy with one BLAS thread, so ``workers`` processes share the cores
-instead of each running a multi-threaded BLAS; this process keeps its own
-BLAS threads, so ``workers`` = 1 runs in-process exactly as before.  Each
-worker imports the calling script as ``__mp_main__``, so a script that asks
-for more than one worker needs an ``if __name__ == "__main__":`` guard.
+At ``workers`` > 1 batches run on one worker pool per process and worker
+count, opened on first use and kept until the interpreter exits, so idle
+workers keep their memory (such as cycle index tables) between calls.
+Workers fork from a ``forkserver`` that imported numpy with one BLAS thread,
+so they share the cores instead of each running a multi-threaded BLAS; this
+process keeps its own BLAS threads for ``workers`` = 1.  Each worker imports
+the calling script as ``__mp_main__``, so a script that asks for more than
+one worker needs an ``if __name__ == "__main__":`` guard.
 
 A detection experiment compares the configured signed statistic on the
 geometric alternative against the Erdos-Renyi null with the same (n, p).
@@ -37,7 +37,6 @@ bytes are reproducible only up to that final column.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing
 import multiprocessing.forkserver
@@ -211,18 +210,28 @@ def _chunk_values(
     return out
 
 
-def _chunk_task(args) -> np.ndarray:
-    return _chunk_values(*args)
+# (workers, pool) shared by this process's batches.  It is not locked:
+# callers in several threads must not ask for different worker counts.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+# A forked child's copy of its parent's pool would never finish a task.
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 
 
-def _open_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool of ``workers`` processes whose numpy runs one BLAS thread.
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers, whose numpy runs one BLAS
+    thread, kept open until exit; another worker count shuts it down first.
 
     Workers fork from a server that preloads this module.  The server is
     started (once per process, or again if it died) with the BLAS thread
     variables set to 1 for that start only: this process's BLAS is already
     loaded and keeps its threads.
     """
+    global _pool
+    if _pool is not None and _pool[0] == workers:
+        return _pool[1]
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
     ctx = multiprocessing.get_context("forkserver")
     ctx.set_forkserver_preload(["softrgg.mc"])
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
@@ -235,16 +244,16 @@ def _open_pool(workers: int) -> ProcessPoolExecutor:
                 del os.environ[name]
             else:
                 os.environ[name] = value
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+    _pool = (workers, ProcessPoolExecutor(max_workers=workers, mp_context=ctx))
+    return _pool[1]
 
 
-def _pool_scope(workers: int, pool: ProcessPoolExecutor | None):
-    """Context yielding the pool to run batches on: ``pool`` when a caller
-    passed one down, else a new pool closed at the end of the block when
-    ``workers`` > 1, else None (run in this process)."""
-    if pool is None and workers > 1:
-        return _open_pool(workers)
-    return contextlib.nullcontext(pool)
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut a broken ``pool`` down, and forget it if it is still the shared one."""
+    global _pool
+    pool.shutdown()
+    if _pool is not None and _pool[1] is pool:
+        _pool = None
 
 
 def replicate_values(
@@ -256,29 +265,32 @@ def replicate_values(
     *,
     tag: int = _TAG_ALT,
     workers: int = 1,
-    pool: ProcessPoolExecutor | None = None,
 ) -> np.ndarray:
     """Statistic values over ``reps`` independent graphs, in replicate order.
 
     The result depends on (params, mode, statistic, master_seed, tag) only;
-    ``workers`` changes wallclock, never bits.  ``pool`` is the open pool of
-    the experiment or sweep this batch belongs to; without it, ``workers``
-    > 1 opens a pool for this call alone.
+    ``workers`` changes wallclock, never bits.  At ``workers`` > 1 the
+    chunks run on the one pool per process and worker count, which lives
+    until exit with its idle workers keeping their memory; a pool that
+    breaks raises ``BrokenProcessPool`` and the next call opens a new one.
     """
     if reps < 1:
         raise DomainError("need at least 1 replicate")
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    starts = range(0, reps, CHUNK_SIZE)
     tasks = [
         (params, mode, statistic, master_seed, tag, ci, min(CHUNK_SIZE, reps - s))
-        for ci, s in enumerate(starts)
+        for ci, s in enumerate(range(0, reps, CHUNK_SIZE))
     ]
-    if len(tasks) == 1 or (workers == 1 and pool is None):
-        parts = [_chunk_task(t) for t in tasks]
+    if len(tasks) == 1 or workers == 1:
+        parts = [_chunk_values(*t) for t in tasks]
     else:
-        with _pool_scope(workers, pool) as pool:
-            parts = list(pool.map(_chunk_task, tasks))
+        pool = _worker_pool(workers)
+        try:
+            parts = list(pool.map(_chunk_values, *zip(*tasks)))
+        except BrokenProcessPool:
+            _drop_pool(pool)
+            raise
     return np.concatenate(parts)
 
 
@@ -329,7 +341,6 @@ def detection_experiment(
     statistic: StatisticSpec = StatisticSpec(),
     test: str = "half-mean-threshold",
     workers: int = 1,
-    pool: ProcessPoolExecutor | None = None,
 ) -> ExperimentRecord:
     """One power/type-1 experiment at a single parameter point.
 
@@ -342,10 +353,9 @@ def detection_experiment(
 
     At p = 0 or p = 1 every centered edge weight vanishes, the statistic is
     identically zero, and the record is returned immediately with status
-    ``degenerate`` and zero rates.
-
-    Every batch runs on ``pool`` (a sweep's) when given, else on one pool
-    opened for this experiment when ``workers`` > 1.
+    ``degenerate`` and zero rates.  At ``workers`` > 1 every batch runs on
+    the one pool per process and worker count, which lives until exit with
+    its idle workers keeping their memory.
     """
     if reps < 100:
         raise DomainError("detection needs reps >= 100")
@@ -367,31 +377,23 @@ def detection_experiment(
     eval_count = reps - pilot_count
     status = STATUS_OK
 
-    with _pool_scope(workers, pool) as pool:
-        if test == "half-mean-threshold":
-            pilot = replicate_values(
-                params, point.mode, statistic, pilot_count, master_seed,
-                tag=_TAG_PILOT, workers=workers, pool=pool,
-            )
-            delta = float(pilot.mean())
-            threshold = delta / 2.0
-            if delta <= 0.0:
-                status = STATUS_INCONCLUSIVE
-        else:
-            calib = replicate_values(
-                null_params, "er", statistic, pilot_count, master_seed,
-                tag=_TAG_CALIBRATE, workers=workers, pool=pool,
-            )
-            threshold = float(np.quantile(calib, 0.95, method="higher"))
+    def batch(params: ModelParams, mode: str, count: int, tag: int) -> np.ndarray:
+        return replicate_values(
+            params, mode, statistic, count, master_seed, tag=tag, workers=workers
+        )
 
-        alt_vals = replicate_values(
-            params, point.mode, statistic, eval_count, master_seed,
-            tag=_TAG_ALT, workers=workers, pool=pool,
-        )
-        null_vals = replicate_values(
-            null_params, "er", statistic, eval_count, master_seed,
-            tag=_TAG_NULL, workers=workers, pool=pool,
-        )
+    if test == "half-mean-threshold":
+        pilot = batch(params, point.mode, pilot_count, _TAG_PILOT)
+        delta = float(pilot.mean())
+        threshold = delta / 2.0
+        if delta <= 0.0:
+            status = STATUS_INCONCLUSIVE
+    else:
+        calib = batch(null_params, "er", pilot_count, _TAG_CALIBRATE)
+        threshold = float(np.quantile(calib, 0.95, method="higher"))
+
+    alt_vals = batch(params, point.mode, eval_count, _TAG_ALT)
+    null_vals = batch(null_params, "er", eval_count, _TAG_NULL)
     stat_mean, stat_se = _mean_se(alt_vals)
     return ExperimentRecord(
         point=point,
@@ -459,44 +461,43 @@ def sweep(
     (same config, grid sliced to the remaining points, ``start_index`` set
     to the first remaining absolute index) appends rows that match the
     original run bit for bit, wallclock aside.  A grid point that raises is
-    recorded as ``failed`` with NaN numerics and the sweep continues.  Every
-    point runs on one worker pool; a point that breaks it (a worker died)
-    is recorded as ``failed`` and the next point gets a fresh pool.
+    recorded as ``failed`` with NaN numerics and the sweep continues.  At
+    ``workers`` > 1 every point runs on the one pool per process and worker
+    count, which lives until exit; its idle workers keep their memory
+    between calls.  A point that breaks the pool (a worker died) is
+    recorded as ``failed`` and the next point gets a fresh pool; if that one
+    breaks too, ``BrokenProcessPool`` is raised.
     """
     if start_index < 0:
         raise DomainError("start_index must be >= 0")
     if sink is not None and start_index == 0:
         sink.write(CSV_HEADER + "\n")
-    records = []
-    pool = _open_pool(config.workers) if config.workers > 1 else None
-    try:
-        for offset, point in enumerate(config.grid):
-            seed = point_seed(config.master_seed, start_index + offset)
-            t0 = time.perf_counter()
-            try:
-                record = detection_experiment(
-                    point,
-                    config.reps,
-                    seed,
-                    statistic=config.statistic,
-                    test=config.test,
-                    workers=config.workers,
-                    pool=pool,
-                )
-            except Exception as exc:
-                record = _constant_record(
-                    point, config.statistic, config.reps, seed, t0, float("nan"),
-                    STATUS_FAILED,
-                )
-                if isinstance(exc, BrokenProcessPool):
-                    pool.shutdown()
-                    pool = _open_pool(config.workers)
-            records.append(record)
-            if sink is not None:
-                sink.write(record.csv_row() + "\n")
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    # Outside the point guard: a worker re-importing a guard-less script dies here.
+    if config.workers > 1:
+        _worker_pool(config.workers)
+    records, broke = [], False
+    for offset, point in enumerate(config.grid):
+        seed = point_seed(config.master_seed, start_index + offset)
+        t0 = time.perf_counter()
+        was_broke, broke = broke, False
+        try:
+            record = detection_experiment(
+                point, config.reps, seed, statistic=config.statistic,
+                test=config.test, workers=config.workers,
+            )
+        except Exception as exc:
+            broke = isinstance(exc, BrokenProcessPool)
+            if broke and was_broke:
+                raise BrokenProcessPool(
+                    "two worker pools in a row broke; the usual cause is a script "
+                    'without an if __name__ == "__main__": guard'
+                ) from exc
+            record = _constant_record(
+                point, config.statistic, config.reps, seed, t0, float("nan"), STATUS_FAILED
+            )
+        records.append(record)
+        if sink is not None:
+            sink.write(record.csv_row() + "\n")
     return tuple(records)
 
 
@@ -516,14 +517,12 @@ def variance_profile(
     n^3 + n^4 q^4 / d divided out.  Returns (d, variance, scaled) triples.
     """
     out = []
-    with _pool_scope(workers, None) as pool:
-        for i, d in enumerate(point_dims):
-            params = ModelParams(n=n, p=p, d=d, q=q)
-            vals = replicate_values(
-                params, mode, statistic, reps, master_seed, tag=71 + 2 * i,
-                workers=workers, pool=pool,
-            )
-            var = float(vals.var(ddof=1))
-            scale = n**3 + n**4 * q**4 / d
-            out.append((d, var, var / scale))
+    for i, d in enumerate(point_dims):
+        params = ModelParams(n=n, p=p, d=d, q=q)
+        vals = replicate_values(
+            params, mode, statistic, reps, master_seed, tag=71 + 2 * i, workers=workers
+        )
+        var = float(vals.var(ddof=1))
+        scale = n**3 + n**4 * q**4 / d
+        out.append((d, var, var / scale))
     return tuple(out)

@@ -1,7 +1,11 @@
 import io
 import math
 import os
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,21 @@ def test_records_do_not_depend_on_worker_count(case, reps, seed):
     assert [row_key(r) for r in one] == [row_key(r) for r in two]
 
 
+def shut_shared_pool():
+    if mc._pool is not None:
+        mc._pool[1].shutdown()
+    mc._pool = None
+
+
+@pytest.fixture
+def no_shared_pool():
+    """Shut the process's shared pool down before and after the test, so it
+    sees only the pools it builds itself and leaves none of them open."""
+    shut_shared_pool()
+    yield
+    shut_shared_pool()
+
+
 def counting_pools(monkeypatch, broken_first=False):
     """Patch mc's pool class; returns the list of pools built.  With
     ``broken_first`` the first pool acts as one whose worker died."""
@@ -112,6 +131,7 @@ def counting_pools(monkeypatch, broken_first=False):
     return built
 
 
+@pytest.mark.usefixtures("no_shared_pool")
 def test_sweep_opens_one_pool_with_single_threaded_blas(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -122,12 +142,48 @@ def test_sweep_opens_one_pool_with_single_threaded_blas(monkeypatch):
     assert [r.status for r in recs] == [STATUS_OK] * 3
     assert len(built) == 1
     assert dict(os.environ) == environ
-    with mc._open_pool(2) as pool:
-        assert pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result() == "1"
-        assert pool.submit(os.getenv, "OMP_NUM_THREADS").result() == "1"
+    # A second sweep, a standalone experiment and a variance profile reuse it.
+    sweep(ExperimentConfig(grid[:2], reps=260, master_seed=4, workers=2))
+    assert detection_experiment(grid[0], 260, 5, workers=2).status == STATUS_OK
+    variance_profile((4, 8), n=8, p=0.5, q=0.5, mode="soft-sphere", reps=130,
+                     master_seed=6, workers=2)
+    assert len(built) == 1
+    pool = mc._worker_pool(2)
+    assert pool is built[0]
+    assert pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result() == "1"
+    assert pool.submit(os.getenv, "OMP_NUM_THREADS").result() == "1"
     assert dict(os.environ) == environ
 
+    # Another worker count shuts the first pool down and builds a second.
+    params, spec = ModelParams(n=8, p=0.5, d=4, q=0.5), StatisticSpec()
+    want = replicate_values(params, "soft-sphere", spec, 130, 7, workers=1)
+    assert np.array_equal(replicate_values(params, "soft-sphere", spec, 130, 7, workers=3), want)
+    assert len(built) == 2
+    with pytest.raises(RuntimeError, match="shutdown"):
+        built[0].submit(os.getpid)
 
+    # A forked child does not inherit the pool: its copy would hang.
+    child = os.fork()
+    if child == 0:
+        os._exit(0 if mc._pool is None else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+    assert mc._worker_pool(3) is built[1]
+
+    # A pool whose worker died raises once; the next call runs on a new pool.
+    with pytest.raises(BrokenProcessPool):
+        built[1].submit(os._exit, 1).result()
+    with pytest.raises(BrokenProcessPool):
+        replicate_values(params, "soft-sphere", spec, 130, 7, workers=3)
+    assert np.array_equal(replicate_values(params, "soft-sphere", spec, 130, 7, workers=3), want)
+    assert len(built) == 3
+    # Dropping a broken pool that is no longer the shared one leaves the
+    # shared one open.
+    mc._drop_pool(built[1])
+    assert mc._worker_pool(3) is built[2]
+    assert built[2].submit(os.getpid).result() > 0
+
+
+@pytest.mark.usefixtures("no_shared_pool")
 def test_broken_pool_fails_only_its_point(monkeypatch):
     grid = tuple(GridPoint(n=8, p=0.5, d=4, q=q, mode="soft-sphere") for q in (0.3, 0.6))
     config = ExperimentConfig(grid, reps=260, master_seed=8, workers=2)
@@ -137,6 +193,61 @@ def test_broken_pool_fails_only_its_point(monkeypatch):
     assert len(built) == 2
     assert recs[0].status == STATUS_FAILED and math.isnan(recs[0].power)
     assert row_key(recs[1]) == row_key(single[1])
+
+
+def run_script(tmp_path: Path, text: str) -> subprocess.CompletedProcess:
+    """Run ``text`` as a script in a fresh interpreter that imports this softrgg."""
+    script = tmp_path / "script.py"
+    script.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(mc.__file__).parents[1])}
+    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+
+
+def test_sweep_without_main_guard_raises(tmp_path):
+    # Each worker re-imports this script, whose sweep cannot open a pool
+    # there; the worker dies and every pool the real sweep opens breaks.
+    out = run_script(tmp_path, """
+from softrgg import mc
+grid = tuple(mc.GridPoint(n=8, p=0.5, d=4, q=q, mode="soft-sphere") for q in (0.3, 0.6))
+print([r.status for r in mc.sweep(mc.ExperimentConfig(grid, 260, 8, workers=2))])
+""")
+    assert out.returncode != 0, out.stdout
+    assert "BrokenProcessPool" in out.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_no_worker_outlives_its_parent(tmp_path):
+    out = run_script(tmp_path, """
+import os, time
+from softrgg import mc
+
+def pid_after(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+if __name__ == "__main__":
+    grid = (mc.GridPoint(n=8, p=0.5, d=4, q=0.5, mode="soft-sphere"),)
+    mc.sweep(mc.ExperimentConfig(grid, 260, 1, workers=2))
+    pool = mc._worker_pool(2)
+    print(*{pool.submit(os.getpid).result()} | {f.result() for f in
+            [pool.submit(pid_after, 0.5) for _ in range(2)]})
+""")
+    assert out.returncode == 0, out.stderr
+    pids = [int(word) for word in out.stdout.split()]
+    assert pids
+
+    def running(pid: int) -> bool:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    deadline = time.monotonic() + 5.0
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in pids if running(pid)]
 
 
 def test_replicate_values_distinct_tags_differ():

@@ -34,6 +34,7 @@ from .mc import (
 from .model import (
     MODES,
     ModelParams,
+    _require_int,
     _require_unit_p,
     graph_from_dict,
     graph_to_dict,
@@ -141,20 +142,20 @@ def _cmd_detect(args) -> int:
 
 
 def _grid_from_doc(doc) -> tuple[GridPoint, ...]:
+    """The grid points of a grid document, each checked before any point runs."""
     if not isinstance(doc, list) or not doc:
         raise DomainError("grid file must hold a nonempty JSON list of points")
     points = []
     for i, row in enumerate(doc):
         try:
-            points.append(GridPoint(
-                n=int(row["n"]),
-                p=float(row["p"]),
-                d=int(row["d"]),
-                q=float(row["q"]),
-                mode=str(row.get("mode", "soft-sphere")),
-            ))
+            n, d = _require_int(row["n"], "n"), _require_int(row["d"], "d")
+            ModelParams(n=n, p=row["p"], d=d, q=row["q"])
+            mode = row.get("mode", "soft-sphere")
+            if mode not in MODES:
+                raise DomainError(f"unknown mode {mode!r}; expected one of {MODES}")
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"grid entry {i} is malformed: {exc}")
+        points.append(GridPoint(n=n, p=float(row["p"]), d=d, q=float(row["q"]), mode=mode))
     return tuple(points)
 
 

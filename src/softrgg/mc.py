@@ -13,7 +13,9 @@ Workers fork from a ``forkserver`` that imported numpy with one BLAS thread,
 so they share the cores instead of each running a multi-threaded BLAS; this
 process keeps its own BLAS threads for ``workers`` = 1.  Each worker imports
 the calling script as ``__mp_main__``, so a script that asks for more than
-one worker needs an ``if __name__ == "__main__":`` guard.
+one worker needs an ``if __name__ == "__main__":`` guard.  A process started
+by ``fork`` from one that has used ``workers`` > 1 must run at ``workers`` = 1:
+it cannot reach the forkserver it inherited (``ChildProcessError``).
 
 A detection experiment compares the configured signed statistic on the
 geometric alternative against the Erdos-Renyi null with the same (n, p).
@@ -52,9 +54,8 @@ import numpy as np
 from .model import AdjacencySample, ModelParams, sample_graph, substream
 from .specfun import DomainError
 from .stats import (
-    MAX_ORDER,
-    MIN_ORDER,
     StatisticValue,
+    _check_order,
     signed_clique_stat,
     signed_cycle_stat,
     signed_triangle_stat,
@@ -101,14 +102,9 @@ class StatisticSpec:
     def __post_init__(self) -> None:
         if self.kind not in STAT_KINDS:
             raise DomainError(f"unknown statistic kind {self.kind!r}")
-        if self.kind == "triangle":
-            if self.k != 3:
-                raise DomainError("triangle statistic is fixed at k = 3")
-        elif not MIN_ORDER <= self.k <= MAX_ORDER:
-            raise DomainError(
-                f"k = {self.k} outside supported order range "
-                f"[{MIN_ORDER}, {MAX_ORDER}]"
-            )
+        if self.kind == "triangle" and self.k != 3:
+            raise DomainError("triangle statistic is fixed at k = 3")
+        _check_order(self.k)
 
 
 @dataclass(frozen=True)
@@ -367,9 +363,7 @@ def detection_experiment(
         )
     t0 = time.perf_counter()
     if point.p in (0.0, 1.0):
-        return _constant_record(
-            point, statistic, reps, master_seed, t0, 0.0, STATUS_DEGENERATE
-        )
+        return _record(point, statistic, reps, master_seed, t0, STATUS_DEGENERATE, (0.0,) * 5)
 
     params = point.params()
     null_params = ModelParams(n=point.n, p=point.p, d=point.d, q=0.0)
@@ -394,26 +388,10 @@ def detection_experiment(
 
     alt_vals = batch(params, point.mode, eval_count, _TAG_ALT)
     null_vals = batch(null_params, "er", eval_count, _TAG_NULL)
-    stat_mean, stat_se = _mean_se(alt_vals)
-    return ExperimentRecord(
-        point=point,
-        stat_kind=statistic.kind,
-        k=statistic.k,
-        reps=reps,
-        seed=master_seed,
-        stat_mean=stat_mean,
-        stat_se=stat_se,
-        power=float(np.mean(alt_vals >= threshold)),
-        type1=float(np.mean(null_vals >= threshold)),
-        threshold=threshold,
-        phase_label=phase_label(point.n, point.d, point.q),
-        wallclock_ms=_elapsed_ms(t0),
-        status=status,
-    )
-
-
-def _elapsed_ms(t0: float) -> int:
-    return int(round((time.perf_counter() - t0) * 1000.0))
+    power = float(np.mean(alt_vals >= threshold))
+    type1 = float(np.mean(null_vals >= threshold))
+    numbers = (*_mean_se(alt_vals), power, type1, threshold)
+    return _record(point, statistic, reps, master_seed, t0, status, numbers)
 
 
 def point_seed(master_seed: int, index: int) -> int:
@@ -422,29 +400,32 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _constant_record(
+def _record(
     point: GridPoint,
     statistic: StatisticSpec,
     reps: int,
     seed: int,
     t0: float,
-    value: float,
     status: str,
+    numbers: tuple[float, float, float, float, float],
 ) -> ExperimentRecord:
-    """A record with ``value`` in every numeric field (degenerate or failed)."""
+    """The one record builder.  ``numbers`` are stat_mean, stat_se, power,
+    type1 and threshold (all 0.0 when degenerate, NaN when failed);
+    ``wallclock_ms`` is the time since ``t0``, taken now."""
+    stat_mean, stat_se, power, type1, threshold = numbers
     return ExperimentRecord(
         point=point,
         stat_kind=statistic.kind,
         k=statistic.k,
         reps=reps,
         seed=seed,
-        stat_mean=value,
-        stat_se=value,
-        power=value,
-        type1=value,
-        threshold=value,
+        stat_mean=stat_mean,
+        stat_se=stat_se,
+        power=power,
+        type1=type1,
+        threshold=threshold,
         phase_label=phase_label(point.n, point.d, point.q),
-        wallclock_ms=_elapsed_ms(t0),
+        wallclock_ms=int(round((time.perf_counter() - t0) * 1000.0)),
         status=status,
     )
 
@@ -492,8 +473,8 @@ def sweep(
                     "two worker pools in a row broke; the usual cause is a script "
                     'without an if __name__ == "__main__": guard'
                 ) from exc
-            record = _constant_record(
-                point, config.statistic, config.reps, seed, t0, float("nan"), STATUS_FAILED
+            record = _record(
+                point, config.statistic, config.reps, seed, t0, STATUS_FAILED, (math.nan,) * 5
             )
         records.append(record)
         if sink is not None:

@@ -97,6 +97,9 @@ class ModelParams:
     q: float = 1.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         if not isinstance(self.d, (int, np.integer)) or self.d < 1:
@@ -264,11 +267,10 @@ def _require_int(value, what: str) -> int:
     return int(value)
 
 
-def _require_open_p(p):
+def _require_open_p(p, what: str) -> None:
+    """Reject a density outside (0, 1), NaN included."""
     if not 0.0 < p < 1.0:
-        raise DomainError(
-            f"thresholds are defined for p strictly inside (0, 1), got {p!r}"
-        )
+        raise DomainError(f"{what} must lie strictly inside (0, 1), got {p!r}")
 
 
 @lru_cache(maxsize=1024)
@@ -283,7 +285,7 @@ def sphere_threshold(p: float, d: int) -> float:
     P at the result is p to a relative 1e-9 of min(p, 1 - p), or as close
     as adjacent doubles of t allow.
     """
-    _require_open_p(p)
+    _require_open_p(p, "threshold p")
     if d < 2:
         raise DomainError(f"sphere threshold requires d >= 2, got {d}")
     if p > 0.5:
@@ -341,7 +343,7 @@ def gauss_threshold(p: float, d: int) -> float:
     Bisection to an absolute residual of 1e-9 in p; p > 1/2 mirrors
     through zero, as the inner product is symmetric.
     """
-    _require_open_p(p)
+    _require_open_p(p, "threshold p")
     if d < 1:
         raise DomainError(f"requires d >= 1, got {d}")
     if p > 0.5:
@@ -358,7 +360,7 @@ def gauss_threshold(p: float, d: int) -> float:
 
 def thresholds(p: float, d: int) -> Thresholds:
     """The normal quantile and the sphere threshold for (p, d)."""
-    _require_open_p(p)
+    _require_open_p(p, "threshold p")
     t_p = -std_normal_quantile(p)
     return Thresholds(p=p, d=d, t_p=t_p, t_pd=sphere_threshold(p, d))
 

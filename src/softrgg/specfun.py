@@ -175,25 +175,18 @@ def _beta_cf(a, b, x):
     h = d
     for m in range(1, 400):
         m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and then the odd numerator of step m; converged after the odd.
+        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + num * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + num / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-16:
             return h
     raise ConvergenceError("incomplete beta continued fraction stalled", estimate=h)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .model import (
     AdjacencySample,
+    _require_unit_p,
     _top_bin_estimate,
     pattern_class_histogram,
     substream,
@@ -106,6 +107,14 @@ def signed_weight_sum(counts, p: float, n_edges: int) -> float:
     return total
 
 
+def _check_budget(what: str, nbytes: int) -> None:
+    """Refuse ``what`` when the ``nbytes`` it needs exceed INDEX_TABLE_BUDGET."""
+    if nbytes > INDEX_TABLE_BUDGET:
+        raise DomainError(
+            f"{what} would take {nbytes} bytes, above the {INDEX_TABLE_BUDGET}-byte budget"
+        )
+
+
 def _check_order(k):
     if not MIN_ORDER <= k <= MAX_ORDER:
         raise UnsupportedOrderError(
@@ -135,12 +144,7 @@ def _subgraph_counts(sample: AdjacencySample, k: int) -> dict:
     tr A^5 and |A e|^2, stay below n^5 < 2^63 (n^5 is 3.7e18 at n = 5,181).
     """
     n = sample.n
-    nbytes = 5 * 8 * n * n
-    if nbytes > INDEX_TABLE_BUDGET:
-        raise DomainError(
-            f"n={n} closed-form counts would take {nbytes} bytes of dense arrays, "
-            f"above the {INDEX_TABLE_BUDGET}-byte budget"
-        )
+    _check_budget(f"n={n} closed-form counts' dense arrays", 5 * 8 * n * n)
     adj = sample.to_dense().astype(float)
     a2 = adj @ adj
     deg = adj.sum(axis=1).astype(np.int64)
@@ -191,12 +195,7 @@ def _pair_table(n: int, k: int, kind: str) -> np.ndarray:
     """
     patterns = (tuple(combinations(range(k), 2)),) if kind == "clique" else canonical_cycles(k)
     subsets, width = math.comb(n, k), len(patterns[0])
-    nbytes = subsets * len(patterns) * width * 8
-    if nbytes > INDEX_TABLE_BUDGET:
-        raise DomainError(
-            f"n={n}, k={k} {kind} index table would take {nbytes} bytes, above the "
-            f"{INDEX_TABLE_BUDGET}-byte budget"
-        )
+    _check_budget(f"n={n}, k={k} {kind} index table", subsets * len(patterns) * width * 8)
     vertices = np.fromiter(
         chain.from_iterable(combinations(range(n), k)), dtype=np.min_scalar_type(n),
         count=subsets * k,
@@ -366,8 +365,7 @@ def signed_pattern_estimate(latent_kind: str, p: float, d: int, q: float, patter
     converted once at the end (exactly the device the graph statistics
     use).
     """
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got {q!r}")
+    _require_unit_p(q, "q")
     hist = _pattern_histogram(latent_kind, p, d, q, pattern, reps, substream(seed, 11))
     n_edges = len(hist) - 1
     values = np.array(

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import thresholds
+from .model import _require_open_p, _require_unit_p, thresholds
 from .specfun import (
     DomainError,
     QuadratureSpec,
@@ -272,10 +272,8 @@ def signed_triangle_mean_bounds(n: int, p: float, d: int, q: float) -> TriangleM
         raise DomainError(f"need n >= 3 for triangles, got {n}")
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must be in (0, 1), got {p}")
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must be in [0, 1], got {q}")
+    _require_open_p(p, "p")
+    _require_unit_p(q, "q")
     scale = math.comb(n, 3) * q**3 / math.sqrt(d)
     if p == 0.5:
         return TriangleMeanBounds(
@@ -358,8 +356,8 @@ def tv_bound_report(n: int, p: float, d: int, q: float) -> BoundReport:
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be positive")
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise DomainError("p and q must lie in [0, 1]")
+    _require_unit_p(p, "p")
+    _require_unit_p(q, "q")
     return BoundReport(
         n=n,
         p=p,
@@ -477,8 +475,7 @@ def dotproduct_bound_predicates(
     probabilities of the 2-edge shared-vertex pattern and the triangle
     pattern under standard-normal latents.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must be in (0, 1), got {p}")
+    _require_open_p(p, "p")
     if d < 1:
         raise DomainError(f"need d >= 1, got {d}")
     wedge_est, wedge_se = wedge
@@ -525,8 +522,7 @@ def wedge_conditional_square_estimate(
     E[s_13 s_23 s_14 s_24], the signed mean of the quad-path pattern in
     the hard (q = 1) dot-product model.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must be in (0, 1), got {p}")
+    _require_open_p(p, "p")
     if d < 1 or reps < 2:
         raise DomainError("need d >= 1 and reps >= 2")
     return signed_pattern_estimate("gauss", p, d, 1.0, QUAD_PATH_PATTERN, reps, seed)

@@ -293,17 +293,9 @@ _SUITE_RUNNERS = {
 SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> tuple[CheckResult, ...]:
-    if name not in _SUITE_RUNNERS:
-        raise DomainError(f"unknown verify suite {name!r}")
-    return tuple(_SUITE_RUNNERS[name](seed))
-
-
 def run(suite: str = "all", seed: int = DEFAULT_SEED) -> tuple[CheckResult, ...]:
     """Run one suite, or every suite when ``suite`` is "all"."""
-    if suite == "all":
-        out: list[CheckResult] = []
-        for name in SUITE_NAMES:
-            out.extend(run_suite(name, seed))
-        return tuple(out)
-    return run_suite(suite, seed)
+    if suite != "all" and suite not in _SUITE_RUNNERS:
+        raise DomainError(f"unknown verify suite {suite!r}")
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    return tuple(r for name in names for r in _SUITE_RUNNERS[name](seed))

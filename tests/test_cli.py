@@ -7,7 +7,7 @@ import softrgg.cli as cli
 from softrgg.model import ModelParams, sample_graph
 from softrgg.specfun import ConvergenceError
 from softrgg.stats import signed_triangle_stat
-from softrgg.verify import CheckResult
+from softrgg.verify import SUITE_NAMES, CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -224,12 +224,41 @@ def test_sweep_writes_csv_resume_appends(tmp_path, capsys):
     assert rows(full_csv) == rows(split_csv)
 
 
+def test_sweep_refuses_bad_grid_entries_before_running(tmp_path, capsys):
+    good = {"n": 10, "p": 0.5, "d": 8, "q": 0.5}
+    bad_entries = (
+        {"n": 10.7}, {"d": 8.9}, {"n": True}, {"d": False}, {"p": 2}, {"p": True},
+        {"p": "0.5"}, {"q": -0.1}, {"mode": "bogus"},
+    )
+    for i, bad in enumerate(bad_entries):
+        grid_path = tmp_path / f"grid{i}.json"
+        grid_path.write_text(json.dumps([good, {**good, **bad}]))
+        out_csv = tmp_path / f"out{i}.csv"
+        rc, out, err = run_cli(
+            capsys, "sweep", "--grid", str(grid_path), "--reps", "100",
+            "--seed", "1", "--out", str(out_csv),
+        )
+        assert rc == 1 and out == "", bad
+        assert err.startswith("error: grid entry 1 ") and err.count("\n") == 1, bad
+        assert not out_csv.exists(), bad
+
+
 def test_verify_suite_passes(capsys):
     rc, out, err = run_cli(capsys, "verify", "--suite", "specfun")
     assert rc == 0 and err == ""
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS specfun.") for line in lines[:-1])
     assert lines[-1] == "5/5 checks passed"
+
+
+def test_verify_all_suites_pass(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--suite", "all")
+    assert rc == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert {line.split()[1].split(".")[0] for line in lines[:-1]} == set(SUITE_NAMES)
+    checks = len(lines) - 1
+    assert lines[-1] == f"{checks}/{checks} checks passed"
 
 
 def test_verify_failure_exits_three(capsys, monkeypatch):

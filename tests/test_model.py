@@ -331,6 +331,15 @@ def test_graph_json_round_trip_and_validation():
             graph_from_dict(doc)
 
 
+def test_model_params_refuse_booleans():
+    ModelParams(n=1, p=0, d=1, q=1)
+    for field in ("n", "p", "d", "q"):
+        with pytest.raises(DomainError):
+            ModelParams(**{"n": 1, "p": 0, "d": 1, "q": 1, field: True})
+    with pytest.raises(DomainError):
+        ModelParams(n=True, p=False, d=True, q=True)
+
+
 def test_latent_round_trip():
     rng = substream(6, 0)
     lat = sample_latent(5, 7, "sphere", rng)
